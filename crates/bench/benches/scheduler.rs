@@ -23,8 +23,9 @@ fn bench_scheduler(c: &mut Criterion) {
     group.finish();
 }
 
-/// Optimized segment-tree planner vs. the retained per-page oracle on the
-/// same input — the criterion-visible version of the `planning_cost`
+/// `UnifiedScheduler::schedule` (a from-scratch `Planner` session) vs. the
+/// per-page `oracle` (enabled by angel-core's `verify-extras` feature) on
+/// the same input — the criterion-visible version of the `planning_cost`
 /// binary's headline comparison (which records `BENCH_plan.json`).
 fn bench_scheduler_vs_oracle(c: &mut Criterion) {
     let mut group = c.benchmark_group("algorithm1_vs_oracle");

@@ -1,6 +1,9 @@
 //! Planning-cost benchmark: the Unified Scheduler's (Algorithm 1) wall-clock
-//! planning time, optimized segment-tree planner vs. the retained per-page
-//! oracle, on paper-scale inputs (DESIGN.md §9).
+//! planning time on paper-scale inputs (DESIGN.md §9). The "optimized"
+//! column is `UnifiedScheduler::schedule` — a from-scratch
+//! `Planner::new` session, the library's one Algorithm 1 — and the
+//! "oracle" column is the per-page reference `scheduler::oracle`, which
+//! this crate reaches through angel-core's `verify-extras` feature.
 //!
 //! Writes the machine-readable baseline `BENCH_plan.json` at the repo root
 //! (or to the path given as the first non-flag argument) so every future PR
@@ -11,7 +14,9 @@
 //! ```
 //!
 //! Every timed pair is also checked byte-identical (same tasks, same stats),
-//! so the speedup numbers are for provably equivalent schedules.
+//! so the speedup numbers are for provably equivalent schedules. The
+//! `replan-*` rows time a warm incremental `Planner::replan` against a
+//! from-scratch plan of the same mutated input.
 
 use angel_bench::Experiment;
 use angel_core::scheduler::{
@@ -225,8 +230,8 @@ fn main() {
     }
     // Incremental replanning (the ReplanDelta fast path) vs. a from-scratch
     // schedule of the same mutated input. Columns map as: optimized =
-    // warm-session incremental replan, oracle = full schedule() of the
-    // mutated input. `identical` asserts the session's emitted schedule is
+    // warm-session incremental replan, oracle = from-scratch schedule()
+    // (`Planner::new`) of the mutated input. `identical` asserts the session's emitted schedule is
     // byte-equal to the from-scratch one.
     let mut cases = Vec::new();
     for (model, cfg) in [
@@ -305,11 +310,12 @@ fn main() {
     }
 
     table.note(
-        "Optimized = lazy range-add/range-max segment-tree timeline with batched \
-         per-layer evict/re-add; oracle = retained per-page O(pages × steps) \
-         implementation. Both emit byte-identical schedules (asserted). \
-         replan-* rows compare a warm incremental session (optimized) against \
-         a from-scratch schedule of the mutated input (oracle).",
+        "Optimized = UnifiedScheduler::schedule, a from-scratch Planner session \
+         (segment-tree timeline, run-form batched evict/re-add); oracle = \
+         retained per-page O(pages × steps) implementation. Both emit \
+         byte-identical schedules (asserted). replan-* rows compare a warm \
+         incremental session (optimized) against a from-scratch schedule of \
+         the mutated input (oracle).",
     );
     table.emit();
 

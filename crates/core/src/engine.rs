@@ -508,20 +508,13 @@ impl Engine {
         rec.counter_sample(ObsThread::Engine, "engine.sim_makespan_ns", report.makespan);
     }
 
-    /// Export one iteration's timeline as Chrome trace-event JSON
-    /// (`chrome://tracing` / Perfetto) — computes, movements, collectives
-    /// and updates on their own tracks, making the overlap visible.
-    pub fn export_chrome_trace(&self) -> String {
-        let lowered = self.build_iteration_sim();
-        let report = lowered.sim.run();
-        angel_sim::chrome_trace(&lowered.sim, &report)
-    }
-
-    /// Export the *merged* Perfetto timeline: one process for the simulated
-    /// hardware (per-resource task tracks + per-domain resident-bytes
-    /// counters) and one for the runtime threads recorded in this engine's
-    /// [`Recorder`] event ring — lock-free updater threads, allocator and
-    /// engine spans — side by side in a single JSON.
+    /// Export one iteration as the *merged* Perfetto timeline (Chrome
+    /// trace-event JSON): one process for the simulated hardware —
+    /// computes, movements, collectives and updates on per-resource tracks,
+    /// plus per-domain resident-bytes counters — and one for the runtime
+    /// threads recorded in this engine's [`Recorder`] event ring (lock-free
+    /// updater threads, allocator and engine spans), side by side in a
+    /// single JSON. With a disabled recorder the runtime process is empty.
     pub fn export_merged_trace(&self) -> String {
         let lowered = self.build_iteration_sim();
         let report = lowered.sim.run();

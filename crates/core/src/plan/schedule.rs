@@ -48,8 +48,9 @@ impl SchedulePlan {
     /// path that reuses untouched layers' decisions and task slots — and
     /// the session's [`crate::ReplanOutcome`] reports what carried over.
     /// Otherwise (first plan, or a configuration change) a fresh session is
-    /// created and stored. Either way the resulting schedule is
-    /// byte-identical to [`UnifiedScheduler::schedule`] on `shard.input`,
+    /// created and stored — the from-scratch plan that
+    /// [`UnifiedScheduler::schedule`] also runs. Either way the resulting
+    /// schedule is byte-identical to a from-scratch plan of `shard.input`,
     /// and a rejected (infeasible) input leaves the session on its previous
     /// plan.
     pub fn build_with_planner(

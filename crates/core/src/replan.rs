@@ -1,17 +1,19 @@
-//! Incremental replanning — the delta fast path over Algorithm 1.
+//! Algorithm 1's one implementation, from scratch and incrementally.
 //!
-//! A full [`UnifiedScheduler::schedule`] call at GPT-3-1T scale is dominated
-//! by the two O(pages) / O(tasks) passes: materializing the 10⁵-entry
-//! movement stack and emitting the ~10⁵-task trigger-sorted list. The
-//! *decisions* — which page runs evict, where they re-add, how far each
-//! all-gather advances — cost only O(steps · log steps), because PR 4's
-//! segment-tree timeline made every decision a range query.
+//! A full plan at GPT-3-1T scale is dominated by the O(tasks) emission of
+//! the ~10⁵-task trigger-sorted list. The *decisions* — which page runs
+//! evict, where they re-add, how far each all-gather advances — cost only
+//! O(steps · log steps), because the segment-tree timeline
+//! ([`TimelineState`]) makes every decision a range query and the decisions
+//! are kept in **run form**: one `[lo, hi)` page range per same-layer batch,
+//! found by binary search on cached per-layer page-prefix sums instead of a
+//! per-page stack walk.
 //!
-//! The [`Planner`] exploits that split. It keeps the previous plan's
-//! decision state in **run form** (one `[lo, hi)` page range per same-layer
-//! batch, exactly the batches the full planner's stack loops drain), so a
-//! [`ReplanDelta`] — layers touched, steps removed/added, capacity changed —
-//! replans by:
+//! [`Planner::new`] runs both phases and the emission once; that *is*
+//! [`UnifiedScheduler::schedule`], which consumes a fresh session through
+//! [`Planner::into_schedule`]. A live session keeps its decision state, so
+//! a [`ReplanDelta`] — layers touched, steps removed/added, capacity
+//! changed — replans by:
 //!
 //! 1. reverting the segment-tree timeline to its pre-decision baseline with
 //!    one memcpy ([`crate::seqtree::RangeAddMax::restore_from`]) and
@@ -26,11 +28,13 @@
 //!    clean regions, or pure in-place patching when the offsets are
 //!    unchanged).
 //!
-//! The from-scratch planner remains the oracle: every incremental result is
-//! proven byte-identical (tasks, offsets, stats) to
-//! `UnifiedScheduler::schedule` on the mutated input by the unit tests and
-//! a proptest over random mutation sequences below. DESIGN.md §14 gives the
-//! delta model and the splice-soundness argument built on this identity.
+//! The independent reference is the original per-page planner,
+//! `scheduler::oracle::schedule` (test and `verify-extras` builds only):
+//! every incremental result is proven byte-identical (tasks, offsets,
+//! stats) to it on the mutated input by the unit tests and a proptest over
+//! random mutation sequences below, and the scheduler proptest does the same
+//! for fresh sessions. DESIGN.md §14 gives the delta model and the
+//! splice-soundness argument built on this identity.
 
 use crate::error::{Error, Result};
 use crate::scheduler::{
@@ -134,7 +138,7 @@ pub struct ReplanOutcome {
 }
 
 /// A contiguous run of pages `[lo, hi)` of one layer — the unit the decision
-/// phases batch over (the full planner's maximal same-layer stack runs).
+/// phases batch over (a maximal same-layer run of Algorithm 1's stacks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Run {
     layer: usize,
@@ -143,8 +147,8 @@ struct Run {
 }
 
 /// A committed re-add: pages `[lo, hi)` of `layer` re-enter at `trigger`.
-/// Events are stored in the full planner's `rescheduled` push order
-/// (triggers nondecreasing, pages ascending within an event).
+/// Events are stored in commit order (triggers nondecreasing, pages
+/// ascending within an event).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ReaddEvent {
     layer: usize,
@@ -153,12 +157,12 @@ struct ReaddEvent {
     trigger: usize,
 }
 
-/// The incremental replanner: a persistent [`UnifiedScheduler`] session that
+/// The Algorithm 1 planner: a persistent [`UnifiedScheduler`] session that
 /// keeps its input, timeline, decision runs and emitted schedule alive
 /// across [`Planner::replan`] calls, so each delta pays only for what it
-/// touches. `Planner::new` runs the same Algorithm 1 as
-/// [`UnifiedScheduler::schedule`]; every subsequent state is byte-identical
-/// to a from-scratch plan of the current input.
+/// touches. `Planner::new` is the from-scratch plan
+/// ([`UnifiedScheduler::schedule`] delegates to it); every subsequent state
+/// is byte-identical to a from-scratch plan of the current input.
 pub struct Planner {
     sched: UnifiedScheduler,
     input: SchedulerInput,
@@ -260,10 +264,15 @@ impl Planner {
         Ok(planner)
     }
 
-    /// The current schedule — byte-identical to
-    /// `UnifiedScheduler::schedule(&self.input())`.
+    /// The current schedule — byte-identical to a from-scratch plan of
+    /// [`Self::input`].
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
+    }
+
+    /// End the session and keep its schedule, without a copy.
+    pub fn into_schedule(self) -> Schedule {
+        self.schedule
     }
 
     /// The current (post-delta) scheduler input.
@@ -558,9 +567,9 @@ impl Planner {
         })
     }
 
-    /// Phase 1 + phase 2 over runs: the same greedy decisions as the full
-    /// planner's stack loops, with each maximal same-layer batch found by a
-    /// binary search on the page-prefix sums instead of a per-page walk.
+    /// Phase 1 + phase 2 over runs: Algorithm 1's greedy stack decisions,
+    /// with each maximal same-layer batch found by a binary search on the
+    /// page-prefix sums instead of a per-page walk.
     fn plan_decisions(&mut self) {
         let Self {
             input,
@@ -733,7 +742,7 @@ impl Planner {
         *gathers_advanced = 0;
         if sched.phase2 {
             for i in 0..n_steps {
-                if timeline.advance_gather_recording(input, i, sched.prefetch_horizon, p2_spans) {
+                if timeline.advance_gather(input, i, sched.prefetch_horizon, p2_spans) {
                     *gathers_advanced += 1;
                 }
             }
@@ -964,9 +973,9 @@ fn prefix_of(layer: &LayerPlan) -> Vec<u64> {
     p
 }
 
-/// The same input preconditions [`UnifiedScheduler::schedule`] enforces (or
-/// panics on), surfaced as errors so a bad session start cannot poison the
-/// incremental state.
+/// The input preconditions of Algorithm 1 — a non-empty model, every step on
+/// an existing layer, every layer stepped, every step feasible alone —
+/// surfaced as typed errors before any planning state is built.
 fn validate_input(input: &SchedulerInput) -> Result<()> {
     if input.layers.is_empty() {
         return Err(Error::BadReplanDelta("empty model"));
@@ -995,7 +1004,7 @@ fn validate_input(input: &SchedulerInput) -> Result<()> {
     Ok(())
 }
 
-/// Emit one trigger slot in the full planner's within-trigger order:
+/// Emit one trigger slot in Algorithm 1's within-trigger order:
 /// trigger-0 moves, re-add movements, then — walking the per-step loop order
 /// — step `t`'s own gather bundle (if not advanced away), step `t`'s
 /// compute, and the advanced gather bundles of later steps.
@@ -1075,6 +1084,7 @@ fn gather_bundle(input: &SchedulerInput, step: usize, t: usize, out: &mut Vec<Sc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::oracle;
 
     /// A jagged toy model: per-layer page lists of different shapes so the
     /// delta machinery sees non-uniform runs.
@@ -1100,9 +1110,9 @@ mod tests {
     }
 
     fn assert_matches(p: &Planner) {
-        let full = match p.scheduler().schedule(p.input()) {
+        let full = match oracle::schedule(p.scheduler(), p.input()) {
             Ok(s) => s,
-            Err(e) => panic!("full planner rejected a planner-accepted input: {e}"),
+            Err(e) => panic!("oracle rejected a planner-accepted input: {e}"),
         };
         assert_eq!(p.schedule().tasks, full.tasks);
         assert_eq!(p.schedule().stats, full.stats);
@@ -1264,7 +1274,7 @@ mod tests {
         assert_eq!(d.layers.len(), 2);
         let mut p = Planner::new(UnifiedScheduler::default(), old).unwrap();
         p.replan(&d).unwrap();
-        let full = UnifiedScheduler::default().schedule(&new).unwrap();
+        let full = oracle::schedule(&UnifiedScheduler::default(), &new).unwrap();
         assert_eq!(p.schedule().tasks, full.tasks);
         assert_eq!(p.schedule().stats, full.stats);
         assert_eq!(p.schedule().trigger_offsets, full.trigger_offsets);
@@ -1311,6 +1321,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::scheduler::oracle;
     use proptest::prelude::*;
 
     /// Abstract mutations, resolved against the *current* input at apply
@@ -1518,9 +1529,9 @@ mod proptests {
 
         /// Random mutation sequences (outage / permanent / resize deltas):
         /// after every accepted delta the incremental schedule is
-        /// byte-identical to a from-scratch plan of the mutated input, and
-        /// a rejected delta leaves the session byte-identical to the
-        /// previous input's plan.
+        /// byte-identical to the oracle's plan of the mutated input, and a
+        /// rejected delta leaves the session byte-identical to the oracle's
+        /// plan of the previous input.
         #[test]
         fn incremental_replan_matches_from_scratch(
             (mut input, sched) in base_input_strategy(),
@@ -1530,8 +1541,8 @@ mod proptests {
             let mut planner = match planner {
                 Ok(p) => p,
                 Err(_) => {
-                    // Infeasible seed: the full planner must agree.
-                    prop_assert!(sched.schedule(&input).is_err());
+                    // Infeasible seed: the oracle must agree.
+                    prop_assert!(oracle::schedule(&sched, &input).is_err());
                     return Ok(());
                 }
             };
@@ -1542,12 +1553,12 @@ mod proptests {
                 match planner.replan(&d) {
                     Ok(_) => {
                         input = cand;
-                        let full = sched.schedule(&input);
+                        let full = oracle::schedule(&sched, &input);
                         let full = match full {
                             Ok(s) => s,
                             Err(e) => {
                                 return Err(TestCaseError::Fail(
-                                    format!("planner accepted what schedule() rejects: {e}")));
+                                    format!("planner accepted what the oracle rejects: {e}")));
                             }
                         };
                         prop_assert_eq!(&planner.schedule().tasks, &full.tasks);
@@ -1561,8 +1572,8 @@ mod proptests {
                     Err(Error::WorkingSetTooLarge { .. }) => {
                         // The mutated input must genuinely be infeasible,
                         // and the session must still match the old input.
-                        prop_assert!(sched.schedule(&cand).is_err());
-                        let full = match sched.schedule(&input) {
+                        prop_assert!(oracle::schedule(&sched, &cand).is_err());
+                        let full = match oracle::schedule(&sched, &input) {
                             Ok(s) => s,
                             Err(e) => {
                                 return Err(TestCaseError::Fail(

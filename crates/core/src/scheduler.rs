@@ -28,16 +28,24 @@
 //! # Complexity (DESIGN.md §9)
 //!
 //! At the paper's scale a layer shard is 10⁴–10⁵ pages, so the planner's
-//! residency timeline is backed by a lazy range-add / range-max segment
-//! tree ([`crate::seqtree::RangeAddMax`]) and phase 1 batches whole
-//! same-layer page runs into single range updates. Every timeline
-//! operation — evict, re-add fit check, re-add commit, gather advancement,
-//! peak — is O(log steps), for an overall O((pages + steps)·log steps)
-//! plan. The pre-refactor per-page / per-step implementation is retained
-//! verbatim in [`oracle`]; tests and the criterion suite prove the
-//! optimized planner emits byte-identical schedules and stats.
+//! residency timeline ([`TimelineState`]) is backed by a lazy range-add /
+//! range-max segment tree ([`crate::seqtree::RangeAddMax`]) and every
+//! timeline operation — evict, re-add fit check, re-add commit, gather
+//! advancement, peak — is O(log steps).
+//!
+//! This module holds the algorithm's types, its configuration
+//! ([`UnifiedScheduler`]) and that timeline. The one implementation of the
+//! two phases and the task emission is [`crate::replan::Planner`], which
+//! batches whole same-layer page runs into single range updates for an
+//! overall O((pages + steps)·log steps) plan and keeps its decisions alive
+//! for incremental replanning; [`UnifiedScheduler::schedule`] is a
+//! from-scratch `Planner` session. The original per-page / per-step
+//! planner is retained verbatim in `oracle` (test and `verify-extras`
+//! builds only) as the independent reference the proptests prove
+//! byte-identical.
 
-use crate::error::{Error, Result};
+use crate::error::Result;
+use crate::replan::Planner;
 use crate::seqtree::RangeAddMax;
 use serde::{Deserialize, Serialize};
 
@@ -181,20 +189,6 @@ impl Schedule {
     }
 }
 
-/// Build the per-trigger offset table from a trigger-sorted task list.
-/// Triggers are confined to `0..num_steps` by construction (re-adds land at
-/// `i + 1 <= last_use < num_steps`).
-fn trigger_offsets_of(tasks: &[ScheduleTask], num_steps: usize) -> Vec<usize> {
-    let mut offsets = vec![0usize; num_steps + 1];
-    for t in tasks {
-        offsets[t.trigger_id + 1] += 1;
-    }
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
-    }
-    offsets
-}
-
 /// The Unified Scheduler component. `phase2` enables the all-gather
 /// advancement pass (on in production; the scheduler ablation turns it off).
 /// `prefetch_horizon` caps how many steps before its compute a gather may
@@ -222,7 +216,7 @@ impl Default for UnifiedScheduler {
 /// scheduling decision is O(log steps) — near-linear planning overall even
 /// for hundred-layer models with 10⁵ shard pages.
 ///
-/// Logical content (identical to [`oracle::NaiveTimeline`]): `mem[j]` =
+/// Logical content (identical to `oracle::NaiveTimeline`): `mem[j]` =
 /// resident shard bytes live at step `j` + gathered-buffer extras whose
 /// span covers `j` + step `j`'s working set.
 ///
@@ -494,37 +488,19 @@ impl TimelineState {
     /// so the stop point is the latest step in `[floor, g−1]` already above
     /// `budget − extra` — one segment-tree descent instead of a per-step
     /// walk.
+    ///
+    /// Each fired advance also records the span it occupied and the minimum
+    /// byte margin by which the stop condition held across that span:
+    /// `(new_g, g − 1, margin)` is pushed onto `spans`. A later increase of
+    /// `≤ margin` bytes at any single step inside the span provably leaves
+    /// this advance's stop point unchanged — the evidence the replanner's
+    /// slack fast path runs on.
     pub(crate) fn advance_gather(
         &mut self,
         input: &SchedulerInput,
         i: usize,
         horizon: usize,
-    ) -> bool {
-        self.advance_gather_impl(input, i, horizon, None)
-    }
-
-    /// [`Self::advance_gather`] that also records, for each fired advance,
-    /// the span it occupied and the minimum byte margin by which the stop
-    /// condition held across that span: `(new_g, g − 1, margin)`. A later
-    /// increase of `≤ margin` bytes at any single step inside the span
-    /// provably leaves this advance's stop point unchanged — the evidence
-    /// the replanner's slack fast path runs on.
-    pub(crate) fn advance_gather_recording(
-        &mut self,
-        input: &SchedulerInput,
-        i: usize,
-        horizon: usize,
         spans: &mut Vec<(usize, usize, u64)>,
-    ) -> bool {
-        self.advance_gather_impl(input, i, horizon, Some(spans))
-    }
-
-    fn advance_gather_impl(
-        &mut self,
-        input: &SchedulerInput,
-        i: usize,
-        horizon: usize,
-        spans: Option<&mut Vec<(usize, usize, u64)>>,
     ) -> bool {
         let l = input.steps[i].layer();
         let extra = input.layers[l]
@@ -547,14 +523,12 @@ impl TimelineState {
         if new_g < g {
             self.mem.add(new_g, g - 1, extra as i64);
             self.gather_trigger[i] = new_g;
-            if let Some(spans) = spans {
-                // Every step in [new_g, g−1] sat at ≤ threshold before the
-                // add, i.e. at ≤ budget after it; the span max after the add
-                // bounds how close the tightest step came.
-                let span_max = self.mem.max_in(new_g, g - 1).unwrap_or(0);
-                let margin = input.gpu_budget.saturating_sub(span_max);
-                spans.push((new_g, g - 1, margin));
-            }
+            // Every step in [new_g, g−1] sat at ≤ threshold before the add,
+            // i.e. at ≤ budget after it; the span max after the add bounds
+            // how close the tightest step came.
+            let span_max = self.mem.max_in(new_g, g - 1).unwrap_or(0);
+            let margin = input.gpu_budget.saturating_sub(span_max);
+            spans.push((new_g, g - 1, margin));
             true
         } else {
             false
@@ -567,279 +541,47 @@ impl TimelineState {
 }
 
 impl UnifiedScheduler {
-    /// Run Algorithm 1 on `input`.
+    /// Run Algorithm 1 on `input`: a from-scratch [`Planner`] session,
+    /// consumed for its schedule.
     ///
-    /// Errors with [`Error::WorkingSetTooLarge`] when some layer cannot run
-    /// even with an empty GPU (gathered parameters + working set exceed the
-    /// budget) — the condition under which the paper's system is also out of
-    /// options without shrinking the batch.
-    ///
-    /// This is the optimized near-linear planner; [`oracle::schedule`] is
-    /// the retained reference implementation it is proven byte-identical
-    /// against.
+    /// Errors with [`crate::Error::WorkingSetTooLarge`] when some layer
+    /// cannot run even with an empty GPU (gathered parameters + working set
+    /// exceed the budget) — the condition under which the paper's system is
+    /// also out of options without shrinking the batch — and with
+    /// [`crate::Error::BadReplanDelta`] on a malformed input (empty model, a
+    /// step naming a missing layer, a layer with no step).
     pub fn schedule(&self, input: &SchedulerInput) -> Result<Schedule> {
-        assert!(!input.layers.is_empty(), "empty model");
-        let n_steps = input.steps.len();
-
-        // Infeasibility check: a layer must fit with nothing *evictable*
-        // resident (external base load cannot be evicted).
-        for (j, s) in input.steps.iter().enumerate() {
-            let l = &input.layers[s.layer()];
-            let base = input.step_base_load.get(j).copied().unwrap_or(0);
-            let need = l.full_param_bytes + l.working_set + base;
-            if need > input.gpu_budget {
-                return Err(Error::WorkingSetTooLarge {
-                    layer_bytes: need,
-                    gpu_bytes: input.gpu_budget,
-                });
-            }
-        }
-
-        let mut res = TimelineState::new(input);
-
-        // ---- Phase 1 ----------------------------------------------------
-        // Lines 3–5: prioritize move_to_gpu for every page, trigger 0. The
-        // movement stack records emission order so line 8 can pop "the last
-        // movement task". Total pages and shard bytes accumulate here (the
-        // only pass over the page lists) for the final stats.
-        let total_pages: usize = input.layers.iter().map(|l| l.shard_pages.len()).sum();
-        let mut shard_bytes = 0u64;
-        let mut move_stack: Vec<PlannedPage> = Vec::with_capacity(total_pages);
-        for (li, layer) in input.layers.iter().enumerate() {
-            for (pi, &bytes) in layer.shard_pages.iter().enumerate() {
-                shard_bytes += bytes;
-                move_stack.push(PlannedPage {
-                    layer: li,
-                    index: pi,
-                    bytes,
-                });
-            }
-        }
-        // Pages re-scheduled later: (page, trigger id).
-        let mut rescheduled: Vec<(PlannedPage, usize)> = Vec::new();
-        let mut wait_stack: Vec<PlannedPage> = Vec::new();
-
-        for i in 0..n_steps {
-            // Lines 7–9: evict (pop) movements until this step fits.
-            // `mem[i]` includes the step's own gather and working set, so
-            // fitting means `mem[i] <= budget`. Same-layer page runs on the
-            // stack top are popped as one batched range update: evicting a
-            // page only lowers `mem[i]` when `i` lies in the victim layer's
-            // live span and is not one of its own compute steps (net-zero
-            // there), so a run either shrinks `mem[i]` page by page — take
-            // exactly enough pages to reach the budget — or not at all —
-            // the whole run drains, as the per-page loop would.
-            loop {
-                let current = res.step_total(i);
-                if current <= input.gpu_budget {
-                    break;
-                }
-                let Some(&top) = move_stack.last() else {
-                    break; // nothing left to evict; gathers must stream
-                };
-                let l = top.layer;
-                let run_start = run_start_of(&move_stack, l);
-                let net_zero = i > res.last_use(l) || res.is_own_step(l, i);
-                let mut batch = 0u64;
-                let mut taken = move_stack.len();
-                if net_zero {
-                    // Popping this run never changes mem[i]: all of it goes.
-                    taken = run_start;
-                    batch = move_stack[run_start..].iter().map(|p| p.bytes).sum();
-                } else {
-                    let need = current - input.gpu_budget;
-                    while taken > run_start && batch < need {
-                        taken -= 1;
-                        batch += move_stack[taken].bytes;
-                    }
-                }
-                res.evict(l, batch);
-                // Victims reach the wait stack in pop (reverse) order.
-                wait_stack.extend(move_stack.drain(taken..).rev());
-            }
-
-            // Lines 13–15: backfill waiting pages while memory allows
-            // (checked against every remaining step so later layers still
-            // fit — the trace-driven equivalent of `get_available_memory`).
-            // Re-adds of one layer all see the same per-step headroom (the
-            // commit raises every checked step uniformly), so a same-layer
-            // run batches into one capacity query + one range update.
-            'readd: while let Some(&top) = wait_stack.last() {
-                let l = top.layer;
-                let t = i + 1;
-                let Some(cap) = res.readd_capacity(input, l, t) else {
-                    break;
-                };
-                let run_start = run_start_of(&wait_stack, l);
-                let mut batch = 0u64;
-                let mut taken = wait_stack.len();
-                while taken > run_start {
-                    let bytes = wait_stack[taken - 1].bytes;
-                    match batch.checked_add(bytes) {
-                        Some(b) if b <= cap => {
-                            batch = b;
-                            taken -= 1;
-                        }
-                        _ => break,
-                    }
-                }
-                if taken == wait_stack.len() {
-                    break; // head of the run does not fit — stop backfilling
-                }
-                res.readd(l, batch, t);
-                for page in wait_stack.drain(taken..).rev() {
-                    rescheduled.push((page, t));
-                }
-                if taken > run_start {
-                    break 'readd; // run only partially fit
-                }
-            }
-        }
-
-        // Lines 10–12 were implicit above: every step gets an all_gather
-        // bundle and a compute task, gathered just-in-time (trigger = i)
-        // until phase 2 advances it.
-
-        // ---- Phase 2 ----------------------------------------------------
-        // Lines 18–21: advance each all_gather to the earliest trigger that
-        // stays within budget.
-        let mut gathers_advanced = 0usize;
-        if self.phase2 {
-            for i in 0..n_steps {
-                if res.advance_gather(input, i, self.prefetch_horizon) {
-                    gathers_advanced += 1;
-                }
-            }
-        }
-
-        // ---- Emit the task list ------------------------------------------
-        // Every task's trigger is known before emission, so the counting
-        // sort runs without materializing an unsorted buffer: count per
-        // trigger, prefix-sum into the offset table, then write each task
-        // straight into its final slot. Walking the sources in the oracle's
-        // emission order (moves, re-adds, per-step gathers + computes)
-        // keeps within-trigger order identical to its stable sort. Byte
-        // stats fold into the same walk.
-        let mut trigger_offsets = vec![0usize; n_steps + 1];
-        let bump = |offsets: &mut Vec<usize>, trigger: usize, by: usize| {
-            offsets[trigger + 1] += by;
-        };
-        bump(&mut trigger_offsets, 0, move_stack.len());
-        for &(_, trig) in &rescheduled {
-            bump(&mut trigger_offsets, trig, 1);
-        }
-        for (i, step) in input.steps.iter().enumerate() {
-            let n_pages = input.layers[step.layer()].shard_pages.len();
-            bump(&mut trigger_offsets, res.gather_triggers()[i], n_pages);
-            bump(&mut trigger_offsets, i, 1); // the compute task
-        }
-        for i in 1..trigger_offsets.len() {
-            trigger_offsets[i] += trigger_offsets[i - 1];
-        }
-        // `trigger_offsets` has n_steps + 1 slots; the last holds the total.
-        let total_tasks = trigger_offsets.last().copied().unwrap_or(0);
-        let mut cursor = trigger_offsets.clone();
-        let mut tasks = vec![
-            ScheduleTask {
-                op: TaskOp::Compute(StepKind::Forward(0)),
-                trigger_id: 0,
-            };
-            total_tasks
-        ];
-        let place = |tasks: &mut Vec<ScheduleTask>, cursor: &mut Vec<usize>, task: ScheduleTask| {
-            tasks[cursor[task.trigger_id]] = task;
-            cursor[task.trigger_id] += 1;
-        };
-        let mut resident_bytes = 0u64;
-        for page in &move_stack {
-            resident_bytes += page.bytes;
-            place(
-                &mut tasks,
-                &mut cursor,
-                ScheduleTask {
-                    op: TaskOp::MoveToGpu(*page),
-                    trigger_id: 0,
-                },
-            );
-        }
-        for &(page, trig) in &rescheduled {
-            resident_bytes += page.bytes;
-            place(
-                &mut tasks,
-                &mut cursor,
-                ScheduleTask {
-                    op: TaskOp::MoveToGpu(page),
-                    trigger_id: trig,
-                },
-            );
-        }
-        for (i, step) in input.steps.iter().enumerate() {
-            let l = step.layer();
-            let trig = res.gather_triggers()[i];
-            for (pi, &bytes) in input.layers[l].shard_pages.iter().enumerate() {
-                place(
-                    &mut tasks,
-                    &mut cursor,
-                    ScheduleTask {
-                        op: TaskOp::AllGather {
-                            page: PlannedPage {
-                                layer: l,
-                                index: pi,
-                                bytes,
-                            },
-                            step: i,
-                        },
-                        trigger_id: trig,
-                    },
-                );
-            }
-            place(
-                &mut tasks,
-                &mut cursor,
-                ScheduleTask {
-                    op: TaskOp::Compute(*step),
-                    trigger_id: i,
-                },
-            );
-        }
-
-        let resident_pages = move_stack.len() + rescheduled.len();
-        Ok(Schedule {
-            tasks,
-            num_steps: n_steps,
-            trigger_offsets,
-            stats: ScheduleStats {
-                pages_resident: resident_pages,
-                pages_cpu_bound: total_pages - resident_pages,
-                peak_gpu_bytes: res.peak(),
-                resident_fraction: if shard_bytes == 0 {
-                    0.0
-                } else {
-                    resident_bytes as f64 / shard_bytes as f64
-                },
-                gathers_advanced,
-            },
-        })
+        Planner::new(self.clone(), input.clone()).map(Planner::into_schedule)
     }
-}
-
-/// Start index of the maximal run of layer-`l` pages at the top of `stack`.
-fn run_start_of(stack: &[PlannedPage], l: usize) -> usize {
-    let mut start = stack.len();
-    while start > 0 && stack[start - 1].layer == l {
-        start -= 1;
-    }
-    start
 }
 
 /// The pre-optimization Algorithm 1 planner, retained verbatim as the
-/// correctness oracle: per-page O(steps) timeline updates, linear
-/// `resident()` scans, `contains`-based fit checks and a comparison sort.
-/// Tests ([`tests`] and the proptest suite) prove [`UnifiedScheduler::schedule`]
-/// emits byte-identical schedules; the criterion suite (`crates/bench`)
-/// records the speedup in `BENCH_plan.json`.
+/// independent correctness oracle: per-page O(steps) timeline updates,
+/// linear `resident()` scans, `contains`-based fit checks and a comparison
+/// sort. It shares no decision code with [`crate::replan::Planner`]; the
+/// scheduler and replan proptests prove every from-scratch and incremental
+/// plan byte-identical to it, and the `planning_cost` binary records the
+/// speedup in `BENCH_plan.json`. Compiled only for tests and under the
+/// `verify-extras` feature (the bench crate enables it), so it cannot land
+/// in a production path.
+#[cfg(any(test, feature = "verify-extras"))]
 pub mod oracle {
     use super::*;
+    use crate::error::Error;
+
+    /// Build the per-trigger offset table from a trigger-sorted task list.
+    /// Triggers are confined to `0..num_steps` by construction (re-adds
+    /// land at `i + 1 <= last_use < num_steps`).
+    fn trigger_offsets_of(tasks: &[ScheduleTask], num_steps: usize) -> Vec<usize> {
+        let mut offsets = vec![0usize; num_steps + 1];
+        for t in tasks {
+            offsets[t.trigger_id + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        offsets
+    }
 
     /// The naive residency timeline: a plain `Vec<u64>` with O(steps)
     /// updates per page.
@@ -1151,6 +893,7 @@ pub fn input_from_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
 
     /// A uniform toy model with hand-checkable numbers.
     fn toy(
@@ -1242,6 +985,26 @@ mod tests {
         assert!(matches!(
             UnifiedScheduler::default().schedule(&input),
             Err(Error::WorkingSetTooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn malformed_input_is_a_typed_error() {
+        // Malformed inputs are rejected by validation before any planning
+        // state indexes by layer: an empty model, and a step naming a
+        // layer the model does not have.
+        let mut empty = toy(1, 1, 10, 0, 100);
+        empty.layers.clear();
+        empty.steps.clear();
+        assert!(matches!(
+            UnifiedScheduler::default().schedule(&empty),
+            Err(Error::BadReplanDelta(_))
+        ));
+        let mut dangling = toy(2, 1, 10, 0, 100);
+        dangling.steps.push(StepKind::Backward(2));
+        assert!(matches!(
+            UnifiedScheduler::default().schedule(&dangling),
+            Err(Error::BadReplanDelta(_))
         ));
     }
 

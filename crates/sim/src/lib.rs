@@ -32,7 +32,7 @@ pub use engine::{
     Access, AccessMode, ExecutionReport, FaultEvent, FaultKind, MemDomainId, MemEffect, ObjectId,
     ResourceId, Resources, SimTask, Simulation, Work,
 };
-pub use trace::{chrome_trace, counter_events, resource_tid, trace_events};
+pub use trace::{counter_events, resource_tid, trace_events};
 
 /// Nanoseconds — the simulator's clock unit.
 pub type Ns = u64;

@@ -1,5 +1,7 @@
-//! Chrome-trace export: turn an executed schedule into a JSON timeline
+//! Trace-event export: turn an executed schedule into Chrome trace events
 //! loadable in `chrome://tracing` / Perfetto, with one track per resource.
+//! The one file writer is `angel_core::obs::merged_perfetto`, which places
+//! these events under its simulated-hardware process.
 //!
 //! This is the visualization story for the paper's overlap claims: the
 //! exported timeline shows computes, page movements, collectives and
@@ -129,23 +131,18 @@ pub fn counter_events(
     events
 }
 
-/// Serialize one executed simulation as Chrome trace-event JSON.
-///
-/// Each resource becomes a thread (`tid`), each task a complete event (`X`)
-/// with microsecond timestamps (the trace-event format's unit).
-pub fn chrome_trace(sim: &Simulation, report: &ExecutionReport) -> String {
-    let events = trace_events(sim, report, 1);
-    // Trace events are integers and strings only; serialization of such a
-    // tree is infallible.
-    #[allow(clippy::disallowed_methods)]
-    serde_json::to_string_pretty(&serde_json::json!({ "traceEvents": events }))
-        .expect("trace serializes")
-}
-
 #[cfg(test)]
 mod tests {
     use crate::engine::{FaultEvent, FaultKind, MemEffect};
     use crate::{Resources, SimTask, Simulation, Work};
+
+    /// The simulation's trace events as one JSON document, serialized and
+    /// re-parsed so every test also checks the output is valid JSON.
+    fn trace_json(sim: &Simulation, report: &crate::ExecutionReport) -> serde_json::Value {
+        let events = super::trace_events(sim, report, 1);
+        let text = serde_json::to_string(&serde_json::json!({ "traceEvents": events })).unwrap();
+        serde_json::from_str(&text).unwrap()
+    }
 
     #[test]
     fn trace_contains_every_task_and_resource() {
@@ -160,14 +157,20 @@ mod tests {
                 .with_label("kernel"),
         );
         let report = sim.run();
-        let json = super::chrome_trace(&sim, &report);
-        assert!(json.contains("\"kernel\""));
-        assert!(json.contains("\"move\""));
-        assert!(json.contains("\"gpu\""));
-        assert!(json.contains("\"pcie\""));
-        // Valid JSON with the right event count: 2 metadata + 2 tasks.
-        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed["traceEvents"].as_array().unwrap().len(), 4);
+        let parsed = trace_json(&sim, &report);
+        let events = parsed["traceEvents"].as_array().unwrap();
+        let names: Vec<&str> = events
+            .iter()
+            .map(|e| match e["ph"].as_str() {
+                Some("M") => e["args"]["name"].as_str().unwrap(),
+                _ => e["name"].as_str().unwrap(),
+            })
+            .collect();
+        for expect in ["kernel", "move", "gpu", "pcie"] {
+            assert!(names.contains(&expect), "missing {expect}");
+        }
+        // The right event count: 2 metadata + 2 tasks.
+        assert_eq!(events.len(), 4);
     }
 
     #[test]
@@ -178,8 +181,7 @@ mod tests {
         sim.submit(SimTask::new(gpu, Work::Duration(2_000)).with_label("a"));
         sim.submit(SimTask::new(gpu, Work::Duration(3_000)).with_label("b"));
         let report = sim.run();
-        let json = super::chrome_trace(&sim, &report);
-        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let parsed = trace_json(&sim, &report);
         let b = &parsed["traceEvents"][2]; // metadata, a, b
         assert_eq!(b["ts"].as_f64().unwrap(), 2.0); // µs
         assert_eq!(b["dur"].as_f64().unwrap(), 3.0);
@@ -200,8 +202,7 @@ mod tests {
         sim.submit(SimTask::new(r3, Work::Duration(100)).with_label("on_cpu"));
         sim.submit(SimTask::new(r0, Work::Duration(100)).with_label("on_gpu0"));
         let report = sim.run();
-        let parsed: serde_json::Value =
-            serde_json::from_str(&super::chrome_trace(&sim, &report)).unwrap();
+        let parsed = trace_json(&sim, &report);
         let events = parsed["traceEvents"].as_array().unwrap();
         // tid → name from metadata.
         let mut names = std::collections::HashMap::new();
@@ -252,8 +253,7 @@ mod tests {
         });
         let report = sim.run();
         assert!(!report.failed_tasks.is_empty());
-        let json = super::chrome_trace(&sim, &report);
-        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let parsed = trace_json(&sim, &report);
         for e in parsed["traceEvents"].as_array().unwrap() {
             if e["ph"].as_str() == Some("X") {
                 assert_eq!(e["name"].as_str(), Some("ok"));

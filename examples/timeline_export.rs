@@ -16,7 +16,9 @@ fn main() {
     let config = EngineConfig::single_server().with_batch_size(4);
     let engine = Engine::initialize(&model, &config).expect("13B fits on one server");
 
-    let trace = engine.export_chrome_trace();
+    // No recorder is attached, so the merged trace's runtime process stays
+    // empty: the file is the simulated-hardware timeline alone.
+    let trace = engine.export_merged_trace();
     let path = "target/angel_iteration_trace.json";
     std::fs::create_dir_all("target").ok();
     std::fs::write(path, &trace).expect("write trace");
