@@ -12,6 +12,10 @@
 //!   (ZeRO-3 across dp groups, tensor parallelism inside the NVLink
 //!   domain, a 2-deep pipeline), statically verified.
 //!
+//! Every lowering is certified before it is timed: the §8 plan-graph
+//! verifier (clean, peak bound covering the simulated run; each point
+//! records its `tasks` and `plan_verify_ms`) and the SPMD certifier.
+//!
 //! A fourth record stresses the segment-tree planner alone on the
 //! 1024-GPU-scale input (≈10× the page count of BENCH_plan.json's largest).
 //!
@@ -67,21 +71,45 @@ fn spmd_point(log: &[CommRecord], mesh: &DeviceMesh, what: &str, full: bool) -> 
     }
 }
 
-/// One engine run: wall-clock planning time + simulated throughput + the
-/// SPMD certification record of the lowered iteration.
+/// One engine run: wall-clock planning time, simulated throughput, and the
+/// certificates of the lowered iteration — the §8 plan-graph verdict (clean,
+/// with a peak bound covering the simulated run; panics otherwise) and the
+/// SPMD record.
+struct Point {
+    planning_ms: f64,
+    samples_per_sec: f64,
+    iter_ns: u64,
+    tasks: usize,
+    plan_verify_ms: f64,
+    spmd: serde_json::Value,
+}
+
 fn run_point(
     model: &TransformerConfig,
     config: &EngineConfig,
     what: &str,
     full_verify: bool,
-) -> Option<(f64, f64, u64, serde_json::Value)> {
+) -> Option<Point> {
     let t0 = Instant::now();
     let mut engine = Engine::initialize(model, config).ok()?;
     let planning_ms = t0.elapsed().as_secs_f64() * 1e3;
     let mesh = config.device_mesh().expect("engine validated the plan");
-    let spmd = spmd_point(&engine.lower_iteration().comm_log, &mesh, what, full_verify);
+    let lowered = engine.lower_iteration();
+    let t0 = Instant::now();
+    let verdict = PlanGraph::from_sim(&lowered.sim).verify();
+    let plan_verify_ms = t0.elapsed().as_secs_f64() * 1e3;
+    verdict.assert_clean(what);
+    verdict.assert_covers(&lowered.sim.run(), what);
+    let spmd = spmd_point(&lowered.comm_log, &mesh, what, full_verify);
     let stats = engine.train_iteration();
-    Some((planning_ms, stats.samples_per_sec, stats.iter_time_ns, spmd))
+    Some(Point {
+        planning_ms,
+        samples_per_sec: stats.samples_per_sec,
+        iter_ns: stats.iter_time_ns,
+        tasks: lowered.sim.num_tasks(),
+        plan_verify_ms,
+        spmd,
+    })
 }
 
 fn main() {
@@ -134,19 +162,22 @@ fn main() {
         table.row(vec![
             servers.to_string(),
             gpus.to_string(),
-            fmt_sps(fixed.1),
-            format!("{:.1}", fixed.0),
+            fmt_sps(fixed.samples_per_sec),
+            format!("{:.1}", fixed.planning_ms),
             fmt_params(scaled_model.total_params()),
-            fmt_sps(scaled.1),
-            format!("{:.1}", scaled.0),
+            fmt_sps(scaled.samples_per_sec),
+            format!("{:.1}", scaled.planning_ms),
         ]);
         if verify {
             verify_rows.push(vec![
                 gpus.to_string(),
-                scaled.3["full_events"].as_u64().unwrap_or(0).to_string(),
-                format!("{:.1}", scaled.3["full_ms"].as_f64().unwrap_or(0.0)),
-                scaled.3["reduced_events"].as_u64().unwrap_or(0).to_string(),
-                format!("{:.2}", scaled.3["reduced_ms"].as_f64().unwrap_or(0.0)),
+                scaled.spmd["full_events"].as_u64().unwrap_or(0).to_string(),
+                format!("{:.1}", scaled.spmd["full_ms"].as_f64().unwrap_or(0.0)),
+                scaled.spmd["reduced_events"]
+                    .as_u64()
+                    .unwrap_or(0)
+                    .to_string(),
+                format!("{:.2}", scaled.spmd["reduced_ms"].as_f64().unwrap_or(0.0)),
             ]);
         }
         points.push(serde_json::json!({
@@ -154,19 +185,25 @@ fn main() {
             "gpus": gpus,
             "fixed": {
                 "model": "gpt3-13b",
-                "samples_per_sec": fixed.1,
-                "planning_ms": fixed.0,
-                "iter_ms": fixed.2 as f64 / 1e6,
-                "spmd": fixed.3,
+                "samples_per_sec": fixed.samples_per_sec,
+                "planning_ms": fixed.planning_ms,
+                "iter_ms": fixed.iter_ns as f64 / 1e6,
+                "tasks": fixed.tasks,
+                "plan_verified": true,
+                "plan_verify_ms": fixed.plan_verify_ms,
+                "spmd": fixed.spmd,
             },
             "scaled": {
                 "model": "gpt3-28b-geometry",
                 "layers": scaled_model.layers,
                 "params": scaled_model.total_params(),
-                "samples_per_sec": scaled.1,
-                "planning_ms": scaled.0,
-                "iter_ms": scaled.2 as f64 / 1e6,
-                "spmd": scaled.3,
+                "samples_per_sec": scaled.samples_per_sec,
+                "planning_ms": scaled.planning_ms,
+                "iter_ms": scaled.iter_ns as f64 / 1e6,
+                "tasks": scaled.tasks,
+                "plan_verified": true,
+                "plan_verify_ms": scaled.plan_verify_ms,
+                "spmd": scaled.spmd,
             },
         }));
     }

@@ -266,8 +266,9 @@ mod tests {
 
     /// The checked-in cluster-scaling baseline must stay parseable and keep
     /// its acceptance properties: a weak-scaling curve out to ≥1024
-    /// simulated GPUs with per-point throughput, a verified composed mesh
-    /// plan, and a ≥10⁶-page planner-stress record. Regenerate with
+    /// simulated GPUs with per-point throughput and plan-graph and SPMD
+    /// certificates, a verified composed mesh plan, and a ≥10⁶-page
+    /// planner-stress record. Regenerate with
     /// `cargo run --release -p angel-bench --bin figure9_cluster`.
     #[test]
     fn bench_scale_baseline_parses() {
@@ -283,6 +284,10 @@ mod tests {
             for curve in ["fixed", "scaled"] {
                 assert!(p[curve]["samples_per_sec"].as_f64().unwrap() > 0.0);
                 assert!(p[curve]["planning_ms"].as_f64().unwrap() >= 0.0);
+                // Every point's lowering passed the plan-graph verifier.
+                assert_eq!(p[curve]["plan_verified"].as_bool(), Some(true));
+                assert!(p[curve]["tasks"].as_u64().unwrap() > 0);
+                assert!(p[curve]["plan_verify_ms"].as_f64().unwrap() >= 0.0);
                 // Every point carries its SPMD certificate: the lowered
                 // plan's collective traffic matched across the mesh.
                 let spmd = &p[curve]["spmd"];

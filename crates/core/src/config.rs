@@ -77,11 +77,6 @@ pub struct EngineConfig {
     pub gpu_compute: GpuComputeModel,
     pub cpu_update: CpuUpdateModel,
     pub gpu_update: GpuUpdateModel,
-    /// Debug builds statically verify each lowered iteration, but the
-    /// verifier's happens-before closure is O(V²·E/64) — quadratic at large
-    /// lowerings. Iterations with more tasks than this skip the per-iteration
-    /// self-verify (`ANGEL_DEBUG_VERIFY=always|off` overrides either way).
-    pub debug_verify_task_limit: usize,
 }
 
 impl EngineConfig {
@@ -114,13 +109,7 @@ impl EngineConfig {
             gpu_compute: GpuComputeModel::a100(),
             cpu_update: CpuUpdateModel::epyc_tencent(),
             gpu_update: GpuUpdateModel::default(),
-            debug_verify_task_limit: 20_000,
         }
-    }
-
-    pub fn with_debug_verify_task_limit(mut self, limit: usize) -> Self {
-        self.debug_verify_task_limit = limit;
-        self
     }
 
     pub fn with_batch_size(mut self, b: u64) -> Self {

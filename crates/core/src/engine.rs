@@ -141,7 +141,7 @@ pub struct SpliceReport {
     /// What the incremental planner reused versus recomputed.
     pub outcome: ReplanOutcome,
     /// Whether the spliced lowering was re-verified (plan graph + SPMD) —
-    /// debug builds only, subject to the task-count gate.
+    /// true in every debug build, false in release builds.
     pub verified: bool,
 }
 
@@ -384,29 +384,11 @@ impl Engine {
     fn run_lowered(&mut self, lowered: LoweredIteration) -> IterStats {
         let wall_start = self.recorder.now_ns();
         let report = lowered.sim.run();
-        // Debug builds statically verify the lowered iteration: no
-        // unordered conflicting accesses, well-formed object lifetimes, and
-        // a provable peak-memory bound that the executed report respects.
-        // The verifier's happens-before closure is O(V²·E/64), so large
-        // lowerings are skipped past `debug_verify_task_limit` — see
-        // `should_debug_verify` for the `ANGEL_DEBUG_VERIFY` override.
         // Fault-injected runs are exempt: killed/deferred tasks violate the
         // coverage bound by design.
         #[cfg(debug_assertions)]
-        if lowered.sim.faults().is_empty()
-            && should_debug_verify(lowered.sim.num_tasks(), self.config.debug_verify_task_limit)
-        {
-            let verdict = crate::verify::PlanGraph::from_sim(&lowered.sim).verify();
-            verdict.assert_clean("engine iteration lowering");
-            verdict.assert_covers(&report, "engine iteration lowering");
-            // Cross-rank story: the same lowering, projected onto every
-            // mesh rank, must certify deadlock-free with matched
-            // collectives (symmetry-reduced, so this stays cheap even for
-            // cluster-sized meshes).
-            if let Ok(mesh) = self.config.device_mesh() {
-                crate::verify::spmd::certify(&lowered.comm_log, &mesh)
-                    .assert_certified("engine iteration lowering (spmd)");
-            }
+        if lowered.sim.faults().is_empty() {
+            self.debug_verify(&lowered, &report, "engine iteration lowering");
         }
         // The lowered graph covers one pipeline slot (one micro-batch through
         // this rank's stage). A 1F1B pipeline drains `micro_batches + pp − 1`
@@ -544,11 +526,11 @@ impl Engine {
     /// configuration. Debug builds re-verify each spliced lowering (plan
     /// graph + symmetry-reduced SPMD certification).
     ///
-    /// Errors when a replan is infeasible (e.g. the surviving fleet cannot
-    /// hold the model, or the model-parallel block does not divide it) —
-    /// the engine is left on its last good plan.
+    /// Zero iterations is an empty report (no iterations, no splices,
+    /// time 0). Errors when a replan is infeasible (e.g. the surviving
+    /// fleet cannot hold the model, or the model-parallel block does not
+    /// divide it) — the engine is left on its last good plan.
     pub fn run_online(&mut self, iters: usize, events: &[ClusterEvent]) -> Result<OnlineReport> {
-        assert!(iters >= 1);
         let mut per_iter = Vec::with_capacity(iters);
         let mut splices = Vec::new();
         let mut total_ns = 0u64;
@@ -711,7 +693,11 @@ impl Engine {
             .as_ref()
             .map(|p| p.last_outcome())
             .unwrap_or_default();
-        let verified = self.debug_verify_splice();
+        #[cfg(debug_assertions)]
+        {
+            let lowered = self.build_iteration_sim();
+            self.debug_verify(&lowered, &lowered.sim.run(), "spliced iteration lowering");
+        }
 
         let rec = &self.recorder;
         rec.counter("plan.replans").inc();
@@ -725,29 +711,31 @@ impl Engine {
             servers,
             replan_ns,
             outcome,
-            verified,
+            verified: cfg!(debug_assertions),
         })
     }
 
-    /// Debug-build verification of a freshly spliced plan: lower it and run
-    /// the plan-graph verifier plus the symmetry-reduced SPMD certifier.
-    /// Returns whether verification actually ran (false in release builds
-    /// and past the task-count gate).
-    fn debug_verify_splice(&self) -> bool {
-        #[cfg(debug_assertions)]
-        {
-            let lowered = self.build_iteration_sim();
-            if should_debug_verify(lowered.sim.num_tasks(), self.config.debug_verify_task_limit) {
-                let verdict = crate::verify::PlanGraph::from_sim(&lowered.sim).verify();
-                verdict.assert_clean("spliced iteration lowering");
-                if let Ok(mesh) = self.config.device_mesh() {
-                    crate::verify::spmd::certify(&lowered.comm_log, &mesh)
-                        .assert_certified("spliced iteration lowering (spmd)");
-                }
-                return true;
-            }
+    /// Debug builds statically verify every fault-free lowering, at any
+    /// size: no unordered conflicting accesses, well-formed object
+    /// lifetimes, and a provable peak-memory bound that the executed
+    /// `report` respects. Cross-rank, the same lowering projected onto
+    /// every mesh rank must certify deadlock-free with matched collectives
+    /// (symmetry-reduced, so this stays cheap even for cluster-sized
+    /// meshes).
+    #[cfg(debug_assertions)]
+    fn debug_verify(
+        &self,
+        lowered: &LoweredIteration,
+        report: &angel_sim::ExecutionReport,
+        what: &str,
+    ) {
+        let verdict = crate::verify::PlanGraph::from_sim(&lowered.sim).verify();
+        verdict.assert_clean(what);
+        verdict.assert_covers(report, what);
+        if let Ok(mesh) = self.config.device_mesh() {
+            crate::verify::spmd::certify(&lowered.comm_log, &mesh)
+                .assert_certified(&format!("{what} (spmd)"));
         }
-        false
     }
 
     /// The largest layer count of `base` that [`Engine::initialize`] accepts
@@ -778,18 +766,6 @@ impl Engine {
             }
         }
         lo
-    }
-}
-
-/// Whether a debug build should self-verify an iteration of `num_tasks`
-/// lowered tasks: unconditional below `limit`, skipped above it, with the
-/// `ANGEL_DEBUG_VERIFY` environment variable forcing either way
-/// (`always`/`1` = verify regardless of size, `off`/`0` = never).
-pub fn should_debug_verify(num_tasks: usize, limit: usize) -> bool {
-    match std::env::var("ANGEL_DEBUG_VERIFY").as_deref() {
-        Ok("always") | Ok("1") => true,
-        Ok("off") | Ok("0") => false,
-        _ => num_tasks <= limit,
     }
 }
 
@@ -895,6 +871,28 @@ mod tests {
             assert_eq!(*s, baseline);
         }
         assert_eq!(r.total_time_ns, baseline.iter_time_ns * 3);
+    }
+
+    #[test]
+    fn run_online_zero_iterations_is_empty() {
+        // Regression: zero iterations used to trip an assert instead of
+        // returning the empty report.
+        let mut e = Engine::initialize(&tiny_model(), &EngineConfig::single_server()).unwrap();
+        let r = e
+            .run_online(
+                0,
+                &[ClusterEvent::Resize {
+                    at_iter: 0,
+                    servers: 2,
+                }],
+            )
+            .unwrap();
+        assert_eq!(r.iters, 0);
+        assert!(r.per_iter.is_empty());
+        assert!(r.splices.is_empty());
+        assert_eq!(r.total_time_ns, 0);
+        assert_eq!(r.samples_per_sec, 0.0);
+        assert_eq!(e.config().cluster.num_servers, 1);
     }
 
     #[test]
@@ -1095,20 +1093,6 @@ mod tests {
             assert_eq!(w[1], w[0] * 10);
         }
         assert_eq!(ITER_TIME_BUCKETS_NS[0], 1_000_000);
-    }
-
-    #[test]
-    fn debug_verify_gates_on_task_count() {
-        // With ANGEL_DEBUG_VERIFY unset (the test environment), the
-        // decision is purely the threshold: unconditional below, off above.
-        if std::env::var("ANGEL_DEBUG_VERIFY").is_ok() {
-            return; // explicit override in the environment wins; skip
-        }
-        assert!(should_debug_verify(100, 100));
-        assert!(should_debug_verify(0, 100));
-        assert!(!should_debug_verify(101, 100));
-        let cfg = EngineConfig::single_server().with_debug_verify_task_limit(7);
-        assert_eq!(cfg.debug_verify_task_limit, 7);
     }
 
     #[test]

@@ -13,6 +13,19 @@
 //! conflicting pair with neither `a ≺ b` nor `b ≺ a` — the executor may
 //! legally run them concurrently, so the plan's result depends on timing.
 //!
+//! # Computing happens-before
+//!
+//! Stream edges link consecutive submissions on a resource, so each
+//! resource's tasks form a chain totally ordered by `≺`: what a task reaches
+//! on a chain is a suffix, what reaches it a prefix. Two clocks per task and
+//! chain capture both — `fwd[t][r]`, the first position on chain `r` that
+//! `t` strictly precedes (a reverse-topological pass), and `back[x][r]`, the
+//! last position on chain `r` that is `⪯ x` (a topological pass) — so
+//! `t ≺ u` ⇔ `pos(u) ≥ fwd[t][res(u)]` in O(1), and the sums below become
+//! per-chain prefix/suffix sums indexed by the clocks. Time and memory are
+//! O((V + E) · R) for R resources (at most eight in an engine lowering), so
+//! every lowering is verified, whatever its size.
+//!
 //! # Lifetimes
 //!
 //! Objects with an [`AccessMode::Alloc`] or [`AccessMode::Free`] access are
@@ -161,48 +174,6 @@ pub struct PlanGraph {
     capacities: Vec<u64>,
 }
 
-/// Fixed-width bitset over task indices.
-#[derive(Clone)]
-struct BitMatrix {
-    words: usize,
-    bits: Vec<u64>,
-}
-
-impl BitMatrix {
-    fn new(n: usize) -> Self {
-        let words = n.div_ceil(64);
-        Self {
-            words,
-            bits: vec![0; words * n],
-        }
-    }
-    fn row(&self, i: usize) -> &[u64] {
-        &self.bits[i * self.words..(i + 1) * self.words]
-    }
-    fn set(&mut self, i: usize, j: usize) {
-        self.bits[i * self.words + j / 64] |= 1 << (j % 64);
-    }
-    fn get(&self, i: usize, j: usize) -> bool {
-        self.bits[i * self.words + j / 64] >> (j % 64) & 1 == 1
-    }
-    /// row(i) |= row(j). Split at the row boundary to satisfy the borrow
-    /// checker without cloning.
-    fn or_row(&mut self, i: usize, j: usize) {
-        debug_assert_ne!(i, j);
-        let w = self.words;
-        let (a, b) = if i < j {
-            let (lo, hi) = self.bits.split_at_mut(j * w);
-            (&mut lo[i * w..i * w + w], &hi[..w])
-        } else {
-            let (lo, hi) = self.bits.split_at_mut(i * w);
-            (&mut hi[..w], &lo[j * w..j * w + w])
-        };
-        for (x, y) in a.iter_mut().zip(b) {
-            *x |= *y;
-        }
-    }
-}
-
 impl PlanGraph {
     /// Snapshot a submitted simulation's task graph for analysis.
     pub fn from_sim(sim: &Simulation) -> Self {
@@ -267,10 +238,9 @@ impl PlanGraph {
         let mut preds: Vec<Vec<usize>> = self.tasks.iter().map(|t| t.deps.clone()).collect();
         let mut last_on_resource: BTreeMap<usize, usize> = BTreeMap::new();
         for (i, t) in self.tasks.iter().enumerate() {
-            if let Some(&prev) = last_on_resource.get(&t.resource) {
+            if let Some(prev) = last_on_resource.insert(t.resource, i) {
                 preds[i].push(prev);
             }
-            last_on_resource.insert(t.resource, i);
         }
 
         if let Some(cycle) = find_cycle(&preds) {
@@ -288,32 +258,8 @@ impl PlanGraph {
         // and stream edges follow submission order — but `add_dep` can
         // introduce forward edges, so sort properly).
         let topo = toposort(&preds);
-
-        // anc[i] = strict ancestors of i (over deps ∪ stream edges);
-        // desc[i] = strict descendants.
-        let mut anc = BitMatrix::new(n);
-        for &i in &topo {
-            // Clone the (small) pred list to appease the borrow checker.
-            for p in preds[i].clone() {
-                anc.or_row(i, p);
-                anc.set(i, p);
-            }
-        }
-        let mut desc = BitMatrix::new(n);
-        for &i in topo.iter().rev() {
-            for p in preds[i].clone() {
-                desc.or_row(p, i);
-                desc.set(p, i);
-            }
-        }
-        // or_row only propagated direct edges; fold transitively: process
-        // in reverse topo for desc (descendants of my successors are mine).
-        // The loop above already visits in reverse topological order, so
-        // desc rows of successors were complete when merged. Same argument
-        // for anc in forward order. (Nothing further to do — kept as a note
-        // because the ordering is what makes the single pass sufficient.)
-
-        let ordered = |a: usize, b: usize| desc.get(a, b) || desc.get(b, a);
+        let clocks = ChainClocks::new(&self.tasks, &preds, &topo);
+        let ordered = |a: usize, b: usize| clocks.precedes(a, b) || clocks.precedes(b, a);
 
         // ---- Races -------------------------------------------------------
         let mut by_object: BTreeMap<ObjectId, Vec<(usize, AccessMode)>> = BTreeMap::new();
@@ -361,112 +307,97 @@ impl PlanGraph {
             }
             let mut seq = accs.clone();
             seq.sort_by_key(|&(i, _)| topo_pos[i]);
-            #[derive(PartialEq)]
             enum LState {
                 Unallocated,
-                Live,
+                /// Allocated by the given task.
+                Live(usize),
                 Freed,
             }
             let mut st = LState::Unallocated;
-            let mut alloc_task = None;
-            let mut violation = |task: usize, issue, label: &str| {
+            let mut violation = |task: usize, issue| {
                 lifetime.push(LifetimeViolation {
                     object: obj,
                     task,
-                    label: label.to_string(),
+                    label: self.tasks[task].label.clone(),
                     issue,
                 });
             };
             for &(i, mode) in &seq {
-                let label = &self.tasks[i].label;
                 match (mode, &st) {
-                    (AccessMode::Alloc, LState::Unallocated) => {
-                        st = LState::Live;
-                        alloc_task = Some(i);
+                    // Reuse after a free is a fresh lifetime.
+                    (AccessMode::Alloc, LState::Unallocated | LState::Freed) => {
+                        st = LState::Live(i)
                     }
-                    (AccessMode::Alloc, LState::Freed) => {
-                        // Reuse after a free is a fresh lifetime.
-                        st = LState::Live;
-                        alloc_task = Some(i);
+                    (AccessMode::Alloc, LState::Live(_)) => {
+                        violation(i, LifetimeIssue::DoubleAlloc)
                     }
-                    (AccessMode::Alloc, LState::Live) => {
-                        violation(i, LifetimeIssue::DoubleAlloc, label)
-                    }
-                    (AccessMode::Free, LState::Live) => st = LState::Freed,
-                    (AccessMode::Free, LState::Freed) => {
-                        violation(i, LifetimeIssue::DoubleFree, label)
-                    }
+                    (AccessMode::Free, LState::Live(_)) => st = LState::Freed,
+                    (AccessMode::Free, LState::Freed) => violation(i, LifetimeIssue::DoubleFree),
                     (AccessMode::Free, LState::Unallocated) => {
-                        violation(i, LifetimeIssue::FreeBeforeAlloc, label)
+                        violation(i, LifetimeIssue::FreeBeforeAlloc)
                     }
-                    (_, LState::Unallocated) => violation(i, LifetimeIssue::UseBeforeAlloc, label),
-                    (_, LState::Freed) => violation(i, LifetimeIssue::UseAfterFree, label),
-                    (_, LState::Live) => {}
+                    (_, LState::Unallocated) => violation(i, LifetimeIssue::UseBeforeAlloc),
+                    (_, LState::Freed) => violation(i, LifetimeIssue::UseAfterFree),
+                    (_, LState::Live(_)) => {}
                 }
             }
-            if st == LState::Live {
-                let Some(at) = alloc_task else {
-                    // The state machine only enters Live on an alloc, which
-                    // records its task index.
-                    unreachable!("Live lifetime state without an alloc task");
-                };
-                lifetime.push(LifetimeViolation {
-                    object: obj,
-                    task: at,
-                    label: self.tasks[at].label.clone(),
-                    issue: LifetimeIssue::Leak,
-                });
+            if let LState::Live(at) = st {
+                violation(at, LifetimeIssue::Leak);
             }
         }
 
         // ---- Peak-memory bound ------------------------------------------
+        // Per domain and slot: `after[s]` sums the acquires at slot `s` and
+        // later on its chain, `drained[k]` the releases before slot `k`.
         let nd = self.num_domains;
-        let mut acq = vec![vec![0u64; n]; nd];
-        let mut rel = vec![vec![0u64; n]; nd];
+        let mut after = vec![vec![0u64; clocks.base[clocks.chains]]; nd];
+        let mut drained = after.clone();
         for (i, t) in self.tasks.iter().enumerate() {
             for &(d, a, r) in &t.mem {
-                acq[d][i] += a;
-                rel[d][i] += r;
+                after[d][clocks.slot[i]] += a;
+                drained[d][clocks.slot[i] + 1] += r;
             }
         }
+        for w in clocks.base.windows(2) {
+            for (a, r) in after.iter_mut().zip(&mut drained) {
+                for s in (w[0]..w[1] - 1).rev() {
+                    a[s] += a[s + 1];
+                }
+                for s in w[0] + 1..w[1] {
+                    r[s] = r[s].saturating_add(r[s - 1]);
+                }
+            }
+        }
+        let total_acq: Vec<u64> = after
+            .iter()
+            .map(|a| clocks.base[..clocks.chains].iter().map(|&s| a[s]).sum())
+            .collect();
         let mut peak_bounds = vec![0u64; nd];
-        let mut drained = vec![0u64; anc.words.max(1)];
-        for d in 0..nd {
-            let total_acq: u64 = acq[d].iter().sum();
-            let mut best = 0u64;
-            for t in 0..n {
-                if acq[d][t] == 0 {
-                    continue; // peaks occur immediately after an acquire
+        let mut drain = vec![0usize; clocks.chains];
+        for (t, task) in self.tasks.iter().enumerate() {
+            if task.mem.iter().all(|&(_, a, _)| a == 0) {
+                continue; // peaks occur immediately after an acquire
+            }
+            // drained(t): per chain, the longest prefix reaching one of t's
+            // dependencies.
+            drain.copy_from_slice(&clocks.base[..clocks.chains]);
+            for &x in &task.deps {
+                for (k, &b) in drain.iter_mut().zip(clocks.back(x)) {
+                    *k = (*k).max(b);
+                }
+            }
+            for &(d, a, _) in &task.mem {
+                if a == 0 {
+                    continue;
                 }
                 // Everything not provably after t may already hold memory.
-                let mut ub = total_acq;
-                for (w, &word) in desc.row(t).iter().enumerate() {
-                    let mut word = word;
-                    while word != 0 {
-                        let j = w * 64 + word.trailing_zeros() as usize;
-                        ub -= acq[d][j];
-                        word &= word - 1;
-                    }
-                }
-                // drained(t): ancestors (reflexive) of t's dependencies.
-                drained.iter_mut().for_each(|w| *w = 0);
-                for &x in &self.tasks[t].deps {
-                    for (w, &word) in anc.row(x).iter().enumerate() {
-                        drained[w] |= word;
-                    }
-                    drained[x / 64] |= 1 << (x % 64);
-                }
-                for (w, &word) in drained.iter().enumerate() {
-                    let mut word = word;
-                    while word != 0 {
-                        let j = w * 64 + word.trailing_zeros() as usize;
-                        ub = ub.saturating_sub(rel[d][j]);
-                        word &= word - 1;
-                    }
-                }
-                best = best.max(ub);
+                let later: u64 = clocks.fwd(t).iter().map(|&s| after[d][s]).sum();
+                let released = drain
+                    .iter()
+                    .fold(0u64, |sum, &k| sum.saturating_add(drained[d][k]));
+                let ub = (total_acq[d] - later).saturating_sub(released);
+                peak_bounds[d] = peak_bounds[d].max(ub);
             }
-            peak_bounds[d] = best;
         }
 
         PlanReport {
@@ -477,6 +408,92 @@ impl PlanGraph {
             capacities: self.capacities.clone(),
             task_count: n,
         }
+    }
+}
+
+/// The chain clocks of the module docs. Chain `r` — resource `r`'s tasks in
+/// submission order — owns the slots `base[r]..base[r + 1]`, one per task
+/// plus a trailing sentinel, so clock values index per-chain sums directly.
+struct ChainClocks {
+    chains: usize,
+    base: Vec<usize>,
+    /// Each task's chain (its resource) and slot.
+    chain: Vec<usize>,
+    slot: Vec<usize>,
+    /// `fwd[t·R + r]`: the first slot on chain `r` that `t` strictly
+    /// precedes (the sentinel if none).
+    fwd: Vec<usize>,
+    /// `back[x·R + r]`: one past the last slot on chain `r` that is ⪯ `x`.
+    back: Vec<usize>,
+}
+
+impl ChainClocks {
+    fn new(tasks: &[TaskNode], preds: &[Vec<usize>], topo: &[usize]) -> Self {
+        let chain: Vec<usize> = tasks.iter().map(|t| t.resource).collect();
+        let chains = chain.iter().max().map_or(0, |&r| r + 1);
+        let mut base = vec![0usize; chains + 1];
+        for &r in &chain {
+            base[r + 1] += 1;
+        }
+        for r in 0..chains {
+            base[r + 1] += base[r] + 1;
+        }
+        let mut next = base.clone();
+        let slot: Vec<usize> = chain
+            .iter()
+            .map(|&r| {
+                next[r] += 1;
+                next[r] - 1
+            })
+            .collect();
+
+        // Forward clocks in reverse topological order: when `i` is reached
+        // every successor has already folded its clock into `i`'s row, so
+        // the row is final and can be folded into `i`'s predecessors.
+        let mut fwd: Vec<usize> = (0..tasks.len())
+            .flat_map(|_| base[1..].iter().map(|&b| b - 1))
+            .collect();
+        for &i in topo.iter().rev() {
+            for &p in &preds[i] {
+                for r in 0..chains {
+                    fwd[p * chains + r] = fwd[p * chains + r].min(fwd[i * chains + r]);
+                }
+                fwd[p * chains + chain[i]] = fwd[p * chains + chain[i]].min(slot[i]);
+            }
+        }
+        // Backward clocks in topological order (reflexive).
+        let mut back: Vec<usize> = (0..tasks.len())
+            .flat_map(|_| base[..chains].iter().copied())
+            .collect();
+        for &i in topo {
+            for &p in &preds[i] {
+                for r in 0..chains {
+                    back[i * chains + r] = back[i * chains + r].max(back[p * chains + r]);
+                }
+            }
+            back[i * chains + chain[i]] = slot[i] + 1;
+        }
+        Self {
+            chains,
+            base,
+            chain,
+            slot,
+            fwd,
+            back,
+        }
+    }
+
+    /// `t ≺ u`, in O(1).
+    fn precedes(&self, t: usize, u: usize) -> bool {
+        self.slot[u] >= self.fwd[t * self.chains + self.chain[u]]
+    }
+
+    fn fwd(&self, t: usize) -> &[usize] {
+        &self.fwd[t * self.chains..(t + 1) * self.chains]
+    }
+
+    fn back(&self, x: usize) -> &[usize] {
+        &self.back[x * self.chains..(x + 1) * self.chains]
     }
 }
 
@@ -554,8 +571,139 @@ pub(crate) fn find_cycle(preds: &[Vec<usize>]) -> Option<Vec<usize>> {
     None
 }
 
+/// Independent reference for [`PlanGraph::verify`]: races, cycle and peak
+/// bounds recomputed straight from the module-doc definitions, with naive
+/// per-task reachability (one BFS per task, O(V · (V + E)) time and O(V²)
+/// memory). It shares no reachability code with the chain clocks; the unit
+/// tests below and the random-plan proptest in `tests/verify.rs` prove the
+/// two equal. Compiled only for tests and under the `verify-extras`
+/// feature, so it cannot land in a production path.
+#[cfg(any(test, feature = "verify-extras"))]
+pub mod oracle {
+    use super::*;
+
+    /// The oracle's verdict. A cyclic graph has no races or bounds, as in
+    /// [`PlanReport`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct OracleReport {
+        pub races: Vec<Race>,
+        pub cyclic: bool,
+        pub peak_bounds: Vec<u64>,
+    }
+
+    pub fn verify(graph: &PlanGraph) -> OracleReport {
+        let tasks = &graph.tasks;
+        let n = tasks.len();
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut last_on_resource: BTreeMap<usize, usize> = BTreeMap::new();
+        for (i, t) in tasks.iter().enumerate() {
+            for &d in &t.deps {
+                succs[d].push(i);
+            }
+            if let Some(prev) = last_on_resource.insert(t.resource, i) {
+                succs[prev].push(i);
+            }
+        }
+        // reach[t][u] ⇔ t ≺ u: u is reachable from t by at least one edge.
+        let reach: Vec<Vec<bool>> = (0..n)
+            .map(|t| {
+                let mut seen = vec![false; n];
+                let mut queue: std::collections::VecDeque<usize> =
+                    succs[t].iter().copied().collect();
+                while let Some(u) = queue.pop_front() {
+                    if !seen[u] {
+                        seen[u] = true;
+                        queue.extend(&succs[u]);
+                    }
+                }
+                seen
+            })
+            .collect();
+        if (0..n).any(|t| reach[t][t]) {
+            return OracleReport {
+                races: Vec::new(),
+                cyclic: true,
+                peak_bounds: Vec::new(),
+            };
+        }
+
+        let mut by_object: BTreeMap<ObjectId, Vec<(usize, AccessMode)>> = BTreeMap::new();
+        for (i, t) in tasks.iter().enumerate() {
+            for &(obj, mode) in &t.accesses {
+                by_object.entry(obj).or_default().push((i, mode));
+            }
+        }
+        let mut races = Vec::new();
+        for (&obj, accs) in &by_object {
+            for (k, &(a, ma)) in accs.iter().enumerate() {
+                for &(b, mb) in &accs[k + 1..] {
+                    let conflict = ma != AccessMode::Read || mb != AccessMode::Read;
+                    if a != b && conflict && !reach[a][b] && !reach[b][a] {
+                        races.push(Race {
+                            object: obj,
+                            first: a.min(b),
+                            second: a.max(b),
+                            first_label: tasks[a.min(b)].label.clone(),
+                            second_label: tasks[a.max(b)].label.clone(),
+                        });
+                    }
+                }
+            }
+        }
+
+        let amount = |t: usize, d: usize, release: bool| -> u64 {
+            tasks[t]
+                .mem
+                .iter()
+                .filter(|e| e.0 == d)
+                .map(|e| if release { e.2 } else { e.1 })
+                .sum()
+        };
+        let peak_bounds = (0..graph.num_domains)
+            .map(|d| {
+                (0..n)
+                    .filter(|&t| amount(t, d, false) > 0)
+                    .map(|t| {
+                        let held: u64 = (0..n)
+                            .filter(|&u| !reach[t][u])
+                            .map(|u| amount(u, d, false))
+                            .sum();
+                        let drained: u64 = (0..n)
+                            .filter(|&u| tasks[t].deps.iter().any(|&x| u == x || reach[u][x]))
+                            .map(|u| amount(u, d, true))
+                            .sum();
+                        held.saturating_sub(drained)
+                    })
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
+        OracleReport {
+            races,
+            cyclic: false,
+            peak_bounds,
+        }
+    }
+
+    /// Verify `graph` and panic unless the report agrees with the oracle
+    /// on races, cycle and peak bounds; returns the report.
+    pub fn assert_agrees(graph: &PlanGraph) -> PlanReport {
+        let report = graph.verify();
+        let naive = verify(graph);
+        assert_eq!(
+            report.cycle.is_some(),
+            naive.cyclic,
+            "cycle verdicts differ"
+        );
+        assert_eq!(report.races, naive.races, "race sets differ");
+        assert_eq!(report.peak_bounds, naive.peak_bounds, "peak bounds differ");
+        report
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::assert_agrees;
     use super::*;
     use angel_sim::{Access, MemEffect, Resources, SimTask, Work};
 
@@ -581,7 +729,7 @@ mod tests {
                 .with_access(Access::read(obj))
                 .with_label("reader"),
         );
-        let report = PlanGraph::from_sim(&sim).verify();
+        let report = assert_agrees(&PlanGraph::from_sim(&sim));
         report.assert_clean("ordered write→read");
     }
 
@@ -599,7 +747,7 @@ mod tests {
                 .with_access(Access::read(obj))
                 .with_label("reader"),
         );
-        let report = PlanGraph::from_sim(&sim).verify();
+        let report = assert_agrees(&PlanGraph::from_sim(&sim));
         assert_eq!(report.races.len(), 1);
         let race = &report.races[0];
         assert_eq!((race.first, race.second), (0, 1));
@@ -612,7 +760,7 @@ mod tests {
         let obj = ObjectId(1);
         sim.submit(SimTask::new(s1, Work::Duration(10)).with_access(Access::read(obj)));
         sim.submit(SimTask::new(s2, Work::Duration(10)).with_access(Access::read(obj)));
-        PlanGraph::from_sim(&sim).verify().assert_clean("two reads");
+        assert_agrees(&PlanGraph::from_sim(&sim)).assert_clean("two reads");
     }
 
     #[test]
@@ -622,9 +770,7 @@ mod tests {
         let obj = ObjectId(1);
         sim.submit(SimTask::new(s1, Work::Duration(10)).with_access(Access::write(obj)));
         sim.submit(SimTask::new(s1, Work::Duration(10)).with_access(Access::write(obj)));
-        PlanGraph::from_sim(&sim)
-            .verify()
-            .assert_clean("stream-ordered writes");
+        assert_agrees(&PlanGraph::from_sim(&sim)).assert_clean("stream-ordered writes");
     }
 
     #[test]
@@ -642,9 +788,13 @@ mod tests {
                 .with_access(Access::read(obj)),
         );
         let mut graph = PlanGraph::from_sim(&sim);
-        assert!(graph.verify().is_clean());
+        assert!(assert_agrees(&graph).is_clean());
         assert!(graph.remove_dep(1, w));
-        assert_eq!(graph.verify().races.len(), 1, "mutation must be flagged");
+        assert_eq!(
+            assert_agrees(&graph).races.len(),
+            1,
+            "mutation must be flagged"
+        );
     }
 
     #[test]
@@ -659,7 +809,7 @@ mod tests {
         );
         let mut graph = PlanGraph::from_sim(&sim);
         // Without a free: leak.
-        let report = graph.verify();
+        let report = assert_agrees(&graph);
         assert_eq!(report.lifetime.len(), 1);
         assert_eq!(report.lifetime[0].issue, LifetimeIssue::Leak);
         // Add the free on a fresh sim: clean.
@@ -669,7 +819,7 @@ mod tests {
                 .with_access(Access::free(obj)),
         );
         graph = PlanGraph::from_sim(&sim);
-        graph.verify().assert_clean("alloc-use-free");
+        assert_agrees(&graph).assert_clean("alloc-use-free");
     }
 
     #[test]
@@ -692,8 +842,7 @@ mod tests {
                 .with_deps([f])
                 .with_access(Access::free(obj)),
         );
-        let issues: Vec<_> = PlanGraph::from_sim(&sim)
-            .verify()
+        let issues: Vec<_> = assert_agrees(&PlanGraph::from_sim(&sim))
             .lifetime
             .iter()
             .map(|v| v.issue)
@@ -709,7 +858,7 @@ mod tests {
         sim.submit(SimTask::new(s2, Work::Duration(1)).with_deps([a]));
         let mut graph = PlanGraph::from_sim(&sim);
         graph.add_dep(a, 1); // a depends on its own dependent
-        let report = graph.verify();
+        let report = assert_agrees(&graph);
         assert!(!report.is_clean());
         let cycle = report.cycle.expect("cycle must be found");
         assert!(cycle.contains(&0) && cycle.contains(&1), "{cycle:?}");
@@ -742,7 +891,7 @@ mod tests {
                 }),
         );
         let report = sim.run();
-        let verdict = PlanGraph::from_sim(&sim).verify();
+        let verdict = assert_agrees(&PlanGraph::from_sim(&sim));
         verdict.assert_covers(&report, "3-task overlap");
         // Concurrent 600+500 must be in the bound; the dependent 300 may
         // reuse a's released 600.
@@ -770,7 +919,7 @@ mod tests {
             release: 100,
         }));
         let report = sim.run();
-        let verdict = PlanGraph::from_sim(&sim).verify();
+        let verdict = assert_agrees(&PlanGraph::from_sim(&sim));
         verdict.assert_covers(&report, "zero-duration stream pair");
         assert_eq!(
             verdict.peak_bounds[dom.0], 200,
@@ -781,7 +930,7 @@ mod tests {
     #[test]
     fn empty_graph_verifies() {
         let (sim, _, _) = two_stream_sim();
-        let report = PlanGraph::from_sim(&sim).verify();
+        let report = assert_agrees(&PlanGraph::from_sim(&sim));
         report.assert_clean("empty");
         report.assert_covers(&sim.run(), "empty");
     }

@@ -10,7 +10,8 @@
 //! 2. Mutation tests: seeding a defect (deleting a dependency edge) must
 //!    make the verifier complain — otherwise the verifier has no teeth.
 //! 3. Random plans (proptest): on arbitrary self-balanced task graphs the
-//!    static bound must still dominate the dynamic peak.
+//!    static bound must still dominate the dynamic peak, and the verifier's
+//!    report must equal the naive-reachability oracle's.
 
 use angel_baselines::deepspeed::DeepSpeed;
 use angel_baselines::megatron::{lower_strategy, MegatronStrategy};
@@ -98,6 +99,20 @@ fn checkpoint_graphs_verify_clean() {
     );
 }
 
+/// Large lowerings verify too: a deep GPT-3 175B-geometry model (1500
+/// layers) on sixteen SSD-backed servers lowers to more than 20 000 sim
+/// tasks, and verifies clean with a peak bound covering the simulated run.
+#[test]
+fn large_lowering_verifies_clean() {
+    let model = TransformerConfig::gpt3_175b().with_layers(1500);
+    let config = EngineConfig::servers(16).with_ssd(true);
+    let engine = Engine::initialize(&model, &config).expect("deep model must fit the SSD fleet");
+    let lowered = engine.lower_iteration();
+    let tasks = lowered.sim.num_tasks();
+    assert!(tasks > 20_000, "lowering has only {tasks} tasks");
+    verify_clean(&lowered.sim, "deep gpt3-175b-geometry lowering");
+}
+
 /// Mutation seed: delete the gather→compute dependency edge. The compute
 /// then races the all-gather on the gathered-layer buffer — the verifier
 /// must flag exactly that object.
@@ -164,7 +179,8 @@ fn model_checker_certifies_protocol_and_rejects_mutations() {
 
 mod random_plans {
     use super::*;
-    use angel_sim::{MemEffect, Resources, SimTask, Simulation};
+    use angel_core::verify::plan::oracle;
+    use angel_sim::{Access, MemEffect, ObjectId, Resources, SimTask, Simulation};
     use proptest::prelude::*;
 
     #[derive(Debug, Clone)]
@@ -174,23 +190,39 @@ mod random_plans {
         acquire: u64,
         release_frac: u8,
         dep_picks: Vec<usize>,
+        /// (object, mode) with mode 0..4 = read / write / alloc / free.
+        accesses: Vec<(u64, u8)>,
+        /// Candidate forward dependency edges, planted after submission.
+        forward_picks: Vec<usize>,
     }
 
     fn rand_task() -> impl Strategy<Value = RandTask> {
         (
-            0usize..3,
-            0u64..2000,
-            0u64..4096,
-            0u8..101,
-            proptest::collection::vec(any::<usize>(), 0..3),
+            (
+                0usize..4,
+                0u64..2000,
+                0u64..4096,
+                0u8..101,
+                proptest::collection::vec(any::<usize>(), 0..3),
+            ),
+            proptest::collection::vec((0u64..4, 0u8..4), 0..3),
+            proptest::collection::vec(any::<usize>(), 0..2),
         )
             .prop_map(
-                |(resource, duration, acquire, release_frac, dep_picks)| RandTask {
-                    resource,
-                    duration,
-                    acquire,
-                    release_frac,
-                    dep_picks,
+                |(
+                    (resource, duration, acquire, release_frac, dep_picks),
+                    accesses,
+                    forward_picks,
+                )| {
+                    RandTask {
+                        resource,
+                        duration,
+                        acquire,
+                        release_frac,
+                        dep_picks,
+                        accesses,
+                        forward_picks,
+                    }
                 },
             )
     }
@@ -198,11 +230,14 @@ mod random_plans {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// On arbitrary DAGs over three streams and one memory domain —
-        /// random durations, random dependency edges, and self-balanced
-        /// memory effects (each task releases at most what it acquired) —
-        /// the verifier's static peak bound dominates the simulator's
-        /// observed peak.
+        /// On arbitrary DAGs over four streams and one memory domain —
+        /// random durations, random dependency edges, random accesses to a
+        /// few objects, and self-balanced memory effects (each task
+        /// releases at most what it acquired) — the verifier's static peak
+        /// bound dominates the simulator's observed peak, and its races,
+        /// cycle verdict and peak bounds equal the naive-reachability
+        /// oracle's. Planting forward dependency edges (which may close a
+        /// cycle) keeps the two equal.
         #[test]
         fn static_bound_dominates_simulated_peak(
             tasks in proptest::collection::vec(rand_task(), 1..24)
@@ -212,6 +247,7 @@ mod random_plans {
                 res.add_compute("s0"),
                 res.add_compute("s1"),
                 res.add_compute("s2"),
+                res.add_compute("s3"),
             ];
             let dom = res.add_mem_domain("mem", u64::MAX);
             let mut sim = Simulation::new(res);
@@ -220,13 +256,23 @@ mod random_plans {
                     if i == 0 { None } else { Some(p % i) }
                 }).collect();
                 let release = t.acquire * u64::from(t.release_frac) / 100;
-                let task = SimTask::duration(streams[t.resource], t.duration)
+                let mut task = SimTask::duration(streams[t.resource], t.duration)
                     .with_deps(deps)
                     .with_mem(MemEffect { domain: dom, acquire: t.acquire, release })
                     .with_label(format!("t{i}"));
+                for &(object, mode) in &t.accesses {
+                    let object = ObjectId(object);
+                    task = task.with_access(match mode {
+                        0 => Access::read(object),
+                        1 => Access::write(object),
+                        2 => Access::alloc(object),
+                        _ => Access::free(object),
+                    });
+                }
                 sim.submit(task);
             }
-            let verdict = PlanGraph::from_sim(&sim).verify();
+            let mut graph = PlanGraph::from_sim(&sim);
+            let verdict = oracle::assert_agrees(&graph);
             let report = sim.run();
             prop_assert!(verdict.cycle.is_none());
             for (d, (&bound, &seen)) in
@@ -237,6 +283,15 @@ mod random_plans {
                     "domain {d}: static bound {bound} < simulated peak {seen}"
                 );
             }
+            let n = tasks.len();
+            for (i, t) in tasks.iter().enumerate() {
+                for &p in t.forward_picks.iter().filter(|&&p| p % 3 == 0) {
+                    if i + 1 < n {
+                        graph.add_dep(i, i + 1 + p / 3 % (n - i - 1));
+                    }
+                }
+            }
+            oracle::assert_agrees(&graph);
         }
     }
 }
