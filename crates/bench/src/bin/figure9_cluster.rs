@@ -94,7 +94,8 @@ fn run_point(
     let mut engine = Engine::initialize(model, config).ok()?;
     let planning_ms = t0.elapsed().as_secs_f64() * 1e3;
     let mesh = config.device_mesh().expect("engine validated the plan");
-    let lowered = engine.lower_iteration();
+    let lowered = engine.lowered();
+    let tasks = lowered.sim.num_tasks();
     let t0 = Instant::now();
     let verdict = PlanGraph::from_sim(&lowered.sim).verify();
     let plan_verify_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -106,7 +107,7 @@ fn run_point(
         planning_ms,
         samples_per_sec: stats.samples_per_sec,
         iter_ns: stats.iter_time_ns,
-        tasks: lowered.sim.num_tasks(),
+        tasks,
         plan_verify_ms,
         spmd,
     })
@@ -234,7 +235,7 @@ fn main() {
     let engine = Engine::initialize(&composed_model, &composed_config)
         .expect("composed plan must initialize at max scale");
     let composed_planning_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let lowered = engine.lower_iteration();
+    let lowered = engine.lowered();
     let verdict = PlanGraph::from_sim(&lowered.sim).verify();
     verdict.assert_clean("composed mesh plan");
     // Cross-rank SPMD certification of the same plan: always run both

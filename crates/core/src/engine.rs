@@ -21,7 +21,15 @@
 //!    movements, all-gathers and computes, and the dynamic GPU cache is
 //!    sized from the schedule's lifetime-accurate peak;
 //! 5. [`crate::plan::lower_schedule`]: the schedule is lowered onto the
-//!    `angel-sim` discrete-event hardware.
+//!    `angel-sim` discrete-event hardware. Training is iterative (§4.2), so
+//!    the engine lowers once per schedule: the [`LoweredIteration`] is built
+//!    at the end of [`Engine::initialize`] and rebuilt only when a splice
+//!    ([`Engine::run_online`], [`Engine::splice_resize`]) replaces the
+//!    schedule. Debug builds verify it there, once. Every iteration, the
+//!    SPMD certificate, the merged trace and service admission read that one
+//!    graph, so the graph that is verified is the graph that runs. Faults
+//!    are never written into it: an iteration with injected faults runs a
+//!    clone.
 //!
 //! [`Engine::train_iteration`] runs the lowered iteration and reports the
 //! quantities the paper's evaluation tables measure: iteration time →
@@ -41,7 +49,6 @@ use crate::plan::{
 use crate::replan::{Planner, ReplanOutcome};
 use crate::scheduler::Schedule;
 use crate::tracer::Trace;
-use crate::zero::ZeroPartition;
 use angel_hw::DeviceId;
 use angel_model::TransformerConfig;
 use angel_sim::{FaultEvent, FaultKind};
@@ -140,8 +147,9 @@ pub struct SpliceReport {
     pub replan_ns: u64,
     /// What the incremental planner reused versus recomputed.
     pub outcome: ReplanOutcome,
-    /// Whether the spliced lowering was re-verified (plan graph + SPMD) —
-    /// true in every debug build, false in release builds.
+    /// Whether the spliced lowering was verified (plan graph + SPMD) when
+    /// the splice built it — true in every debug build, false in release
+    /// builds.
     pub verified: bool,
 }
 
@@ -209,11 +217,6 @@ pub struct Engine {
     cache_plan: CachePlan,
     /// Real page-accounting of the representative rank's three tiers.
     allocator: PageAllocator,
-    zero: ZeroPartition,
-    /// Per-layer FP16 parameter bytes that cross the collective fabric
-    /// (all layers for dense models; non-expert parameters only under
-    /// expert parallelism — local experts never travel).
-    layer_comm_bytes: Vec<u64>,
     /// Observability handle; disabled (free) unless attached via
     /// [`Engine::set_recorder`] / [`Engine::with_recorder`].
     recorder: Recorder,
@@ -227,11 +230,15 @@ pub struct Engine {
     /// [`ClusterEvent::Resize`] recovery restores this baseline, so
     /// degradation is never permanent across recoveries.
     baseline_gpu_reserved: u64,
+    /// The current schedule lowered onto the simulated hardware — built by
+    /// [`Engine::lower`] when the schedule is planned and never mutated, so
+    /// every run and every check of this schedule reads the same graph.
+    lowered: LoweredIteration,
 }
 
 impl Engine {
     /// Initialize training: Trace → Shard → Place → Schedule, then
-    /// materialize the placement.
+    /// materialize the placement and lower the schedule.
     pub fn initialize(model: &TransformerConfig, config: &EngineConfig) -> Result<Self> {
         let traced = TracePlan::build(model, config)?;
         let shard = ShardPlan::build(model, config, &traced);
@@ -241,6 +248,18 @@ impl Engine {
             SchedulePlan::build_with_planner(config, &shard, &mem, &traced.zero, &mut planner)?;
         let placed = mem.place(config, &shard, &planned)?;
         let allocator = mem.materialize(config, model.layers, &placed)?;
+        let lowered = Self::lower(
+            &ScheduleLowering {
+                model,
+                config,
+                schedule: &planned.schedule,
+                placement: placed.placement,
+                cache_plan: planned.cache_plan,
+                zero: &traced.zero,
+                layer_comm_bytes: &shard.layer_comm_bytes,
+            },
+            "engine iteration lowering",
+        );
 
         Ok(Self {
             model: model.clone(),
@@ -250,11 +269,10 @@ impl Engine {
             placement: placed.placement,
             cache_plan: planned.cache_plan,
             allocator,
-            zero: traced.zero,
-            layer_comm_bytes: shard.layer_comm_bytes,
             recorder: Recorder::disabled(),
             planner,
             baseline_gpu_reserved: config.gpu_reserved,
+            lowered,
         })
     }
 
@@ -341,11 +359,17 @@ impl Engine {
         cpu_time + ssd_time
     }
 
-    /// Lower this engine's schedule onto the simulated hardware without
-    /// running it — the graph the verifier checks and `train_iteration`
-    /// executes.
+    /// This engine's schedule lowered onto the simulated hardware — the
+    /// graph the verifiers check and `train_iteration` executes. It is
+    /// rebuilt only when a splice replaces the schedule.
+    pub fn lowered(&self) -> &LoweredIteration {
+        &self.lowered
+    }
+
+    /// An owned copy of [`Engine::lowered`], for callers that keep the
+    /// graph across a `&mut self` call such as [`Engine::train_iteration`].
     pub fn lower_iteration(&self) -> LoweredIteration {
-        self.build_iteration_sim()
+        self.lowered().clone()
     }
 
     /// Cross-rank SPMD certification of this engine's lowered iteration:
@@ -356,40 +380,49 @@ impl Engine {
     /// factor the fleet (same contract as [`EngineConfig::device_mesh`]).
     pub fn verify_spmd(&self) -> Result<crate::verify::SpmdReport> {
         let mesh = self.config.device_mesh()?;
-        let lowered = self.build_iteration_sim();
-        Ok(crate::verify::spmd::certify(&lowered.comm_log, &mesh))
+        Ok(crate::verify::spmd::certify(&self.lowered.comm_log, &mesh))
     }
 
-    /// Lower this engine's schedule onto the simulated hardware.
-    fn build_iteration_sim(&self) -> LoweredIteration {
-        lower_schedule(&ScheduleLowering {
-            model: &self.model,
-            config: &self.config,
-            schedule: &self.schedule,
-            placement: self.placement,
-            cache_plan: self.cache_plan,
-            zero: &self.zero,
-            layer_comm_bytes: &self.layer_comm_bytes,
-        })
+    /// Lower a freshly planned schedule: the one lowering the engine keeps
+    /// until the next splice. Debug builds verify it here, once, at any
+    /// size: no unordered conflicting accesses, well-formed object
+    /// lifetimes, a provable peak-memory bound that a run of the graph
+    /// respects, and — projected onto every mesh rank — deadlock-free,
+    /// matched collectives (symmetry-reduced, so this stays cheap even for
+    /// cluster-sized meshes). Fault-free runs of one graph are
+    /// deterministic, so verifying each iteration again would check nothing
+    /// new.
+    fn lower(args: &ScheduleLowering<'_>, what: &str) -> LoweredIteration {
+        let lowered = lower_schedule(args);
+        if cfg!(debug_assertions) {
+            let verdict = crate::verify::PlanGraph::from_sim(&lowered.sim).verify();
+            verdict.assert_clean(what);
+            verdict.assert_covers(&lowered.sim.run(), what);
+            if let Ok(mesh) = args.config.device_mesh() {
+                crate::verify::spmd::certify(&lowered.comm_log, &mesh)
+                    .assert_certified(&format!("{what} (spmd)"));
+            }
+        }
+        lowered
     }
 
     /// Execute one training iteration on the simulated hardware.
     pub fn train_iteration(&mut self) -> IterStats {
-        let lowered = self.build_iteration_sim();
-        self.run_lowered(lowered)
+        self.step(None)
     }
 
-    /// Execute one already-lowered iteration (possibly with injected
-    /// [`FaultEvent`]s) and report its stats.
-    fn run_lowered(&mut self, lowered: LoweredIteration) -> IterStats {
+    /// Run one iteration — the stored lowering, or `faulted`, a clone of it
+    /// with injected [`FaultEvent`]s — then let the allocator compact.
+    fn step(&mut self, faulted: Option<LoweredIteration>) -> IterStats {
+        let stats = self.run_lowered(faulted.as_ref().unwrap_or(&self.lowered));
+        self.allocator.maybe_compact(DeviceId::CPU);
+        stats
+    }
+
+    /// Execute one lowered iteration and report its stats.
+    fn run_lowered(&self, lowered: &LoweredIteration) -> IterStats {
         let wall_start = self.recorder.now_ns();
         let report = lowered.sim.run();
-        // Fault-injected runs are exempt: killed/deferred tasks violate the
-        // coverage bound by design.
-        #[cfg(debug_assertions)]
-        if lowered.sim.faults().is_empty() {
-            self.debug_verify(&lowered, &report, "engine iteration lowering");
-        }
         // The lowered graph covers one pipeline slot (one micro-batch through
         // this rank's stage). A 1F1B pipeline drains `micro_batches + pp − 1`
         // such slots per iteration; the degenerate plan (1 micro-batch, no
@@ -420,7 +453,7 @@ impl Engine {
             tasks_failed: report.failed_tasks.len() as u64,
         };
         if self.recorder.is_enabled() {
-            self.record_iteration(&lowered, &report, &stats, wall_start);
+            self.record_iteration(lowered, &report, &stats, wall_start);
             // Allocator health per iteration: the CPU pool holds the bulk
             // of the model states, so its fragmentation is the one worth a
             // timeline track (and the compaction trigger, when armed).
@@ -428,7 +461,6 @@ impl Engine {
             self.recorder
                 .counter_sample(ObsThread::Allocator, "alloc.cpu_frag_ppm", frag_ppm);
         }
-        self.allocator.maybe_compact(DeviceId::CPU);
         stats
     }
 
@@ -498,9 +530,8 @@ impl Engine {
     /// updater threads, allocator and engine spans), side by side in a
     /// single JSON. With a disabled recorder the runtime process is empty.
     pub fn export_merged_trace(&self) -> String {
-        let lowered = self.build_iteration_sim();
-        let report = lowered.sim.run();
-        crate::obs::merged_perfetto(&lowered.sim, &report, &self.recorder.events())
+        let report = self.lowered.sim.run();
+        crate::obs::merged_perfetto(&self.lowered.sim, &report, &self.recorder.events())
     }
 
     /// Run `iters` iterations (deterministic steady state).
@@ -521,10 +552,12 @@ impl Engine {
     /// boundary the engine replans the remaining iterations against the
     /// changed topology through its persistent incremental [`Planner`] and
     /// splices the new lowered schedule in. The abandoned tail of the old
-    /// plan never executes: every post-splice iteration lowers the new
-    /// schedule, byte-identical to a fresh engine initialized at the new
-    /// configuration. Debug builds re-verify each spliced lowering (plan
-    /// graph + symmetry-reduced SPMD certification).
+    /// plan never executes: every post-splice iteration runs the new
+    /// schedule's lowering, byte-identical to a fresh engine initialized at
+    /// the new configuration. Debug builds verify each spliced lowering
+    /// once, when it is built (plan graph + symmetry-reduced SPMD
+    /// certification). A faulted iteration runs a clone of the lowering
+    /// with the faults injected; the stored graph never sees them.
     ///
     /// Zero iterations is an empty report (no iterations, no splices,
     /// time 0). Errors when a replan is infeasible (e.g. the surviving
@@ -536,32 +569,36 @@ impl Engine {
         let mut total_ns = 0u64;
         let mut samples = 0f64;
         for k in 0..iters {
-            let mut lowered = self.build_iteration_sim();
+            // Faults go into a clone: the stored lowering stays fault-free
+            // for every later iteration of this schedule.
+            let mut faulted: Option<LoweredIteration> = None;
             for ev in events.iter().filter(|e| e.at_iter() == k) {
-                match *ev {
+                let fault = match *ev {
                     ClusterEvent::Outage {
                         target,
                         at_ns,
                         duration_ns,
                         ..
-                    } => lowered.sim.inject_fault(FaultEvent {
-                        resource: lowered.fault_resource(target),
+                    } => FaultEvent {
+                        resource: self.lowered.fault_resource(target),
                         at: at_ns,
                         kind: FaultKind::Outage {
                             duration: duration_ns,
                         },
-                    }),
-                    ClusterEvent::ServerLoss { at_ns, .. } => {
-                        lowered.sim.inject_fault(FaultEvent {
-                            resource: lowered.comm,
-                            at: at_ns,
-                            kind: FaultKind::Permanent,
-                        })
-                    }
-                    ClusterEvent::Resize { .. } => {} // boundary-only
-                }
+                    },
+                    ClusterEvent::ServerLoss { at_ns, .. } => FaultEvent {
+                        resource: self.lowered.comm,
+                        at: at_ns,
+                        kind: FaultKind::Permanent,
+                    },
+                    ClusterEvent::Resize { .. } => continue, // boundary-only
+                };
+                faulted
+                    .get_or_insert_with(|| self.lowered.clone())
+                    .sim
+                    .inject_fault(fault);
             }
-            let mut stats = self.run_lowered(lowered);
+            let mut stats = self.step(faulted);
             total_ns += stats.iter_time_ns;
             if stats.tasks_failed == 0 {
                 samples += self.config.global_batch() as f64;
@@ -675,16 +712,27 @@ impl Engine {
         let placed = mem.place(&config, &shard, &planned)?;
         let allocator = mem.materialize(&config, self.model.layers, &placed)?;
         let replan_ns = saturating_ns(t0.elapsed().as_nanos()).max(1);
+        let lowered = Self::lower(
+            &ScheduleLowering {
+                model: &self.model,
+                config: &config,
+                schedule: &planned.schedule,
+                placement: placed.placement,
+                cache_plan: planned.cache_plan,
+                zero: &traced.zero,
+                layer_comm_bytes: &shard.layer_comm_bytes,
+            },
+            "spliced iteration lowering",
+        );
 
         // Commit the spliced plan.
+        self.lowered = lowered;
         self.config = config;
         self.trace = traced.trace;
         self.schedule = planned.schedule;
         self.placement = placed.placement;
         self.cache_plan = planned.cache_plan;
         self.allocator = allocator;
-        self.zero = traced.zero;
-        self.layer_comm_bytes = shard.layer_comm_bytes;
         if self.recorder.is_enabled() {
             self.allocator.set_recorder(self.recorder.clone());
         }
@@ -693,11 +741,6 @@ impl Engine {
             .as_ref()
             .map(|p| p.last_outcome())
             .unwrap_or_default();
-        #[cfg(debug_assertions)]
-        {
-            let lowered = self.build_iteration_sim();
-            self.debug_verify(&lowered, &lowered.sim.run(), "spliced iteration lowering");
-        }
 
         let rec = &self.recorder;
         rec.counter("plan.replans").inc();
@@ -713,29 +756,6 @@ impl Engine {
             outcome,
             verified: cfg!(debug_assertions),
         })
-    }
-
-    /// Debug builds statically verify every fault-free lowering, at any
-    /// size: no unordered conflicting accesses, well-formed object
-    /// lifetimes, and a provable peak-memory bound that the executed
-    /// `report` respects. Cross-rank, the same lowering projected onto
-    /// every mesh rank must certify deadlock-free with matched collectives
-    /// (symmetry-reduced, so this stays cheap even for cluster-sized
-    /// meshes).
-    #[cfg(debug_assertions)]
-    fn debug_verify(
-        &self,
-        lowered: &LoweredIteration,
-        report: &angel_sim::ExecutionReport,
-        what: &str,
-    ) {
-        let verdict = crate::verify::PlanGraph::from_sim(&lowered.sim).verify();
-        verdict.assert_clean(what);
-        verdict.assert_covers(report, what);
-        if let Ok(mesh) = self.config.device_mesh() {
-            crate::verify::spmd::certify(&lowered.comm_log, &mesh)
-                .assert_certified(&format!("{what} (spmd)"));
-        }
     }
 
     /// The largest layer count of `base` that [`Engine::initialize`] accepts

@@ -112,6 +112,26 @@ impl From<StoreError> for TrainerError {
     }
 }
 
+/// The per-rank or per-server memory budget a placement overflowed — the
+/// tier a [`Error::ModelTooLarge`] names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CapacityTier {
+    /// One server's pinned lock-free FP16 buffers (Algorithm 2), capped at
+    /// 60% of its host memory.
+    PinnedBuffers,
+    /// One rank's share of the host page pool.
+    CpuPool,
+}
+
+impl fmt::Display for CapacityTier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CapacityTier::PinnedBuffers => write!(f, "per-server pinned lock-free buffers"),
+            CapacityTier::CpuPool => write!(f, "per-rank CPU page pool"),
+        }
+    }
+}
+
 /// Everything that can go wrong in memory management and scheduling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
@@ -121,9 +141,18 @@ pub enum Error {
         requested_pages: usize,
         free_pages: usize,
     },
-    /// The model cannot be placed on the configured hardware at all
-    /// (model states exceed the sum of all usable tiers).
-    ModelTooLarge { state_bytes: u64, usable_bytes: u64 },
+    /// The model cannot be placed on the configured hardware: its states
+    /// overflow `tier`, which needed `needed_bytes` but holds only
+    /// `available_bytes`. `usable_bytes` is the whole hierarchy's usable
+    /// capacity (GPU + CPU pool + SSD, all ranks) for context; a model can
+    /// overflow one tier while far below it.
+    ModelTooLarge {
+        state_bytes: u64,
+        usable_bytes: u64,
+        tier: CapacityTier,
+        needed_bytes: u64,
+        available_bytes: u64,
+    },
     /// The per-layer working set exceeds a single GPU's memory, so no
     /// schedule exists (even fully serialized).
     WorkingSetTooLarge { layer_bytes: u64, gpu_bytes: u64 },
@@ -182,10 +211,16 @@ impl fmt::Display for Error {
             Error::ModelTooLarge {
                 state_bytes,
                 usable_bytes,
+                tier,
+                needed_bytes,
+                available_bytes,
             } => write!(
                 f,
-                "model states ({}) exceed usable hierarchical memory ({})",
+                "model states ({}) do not fit: the {tier} needs {} but holds {} \
+                 (whole hierarchy: {} usable)",
                 angel_hw::fmt_bytes(*state_bytes),
+                angel_hw::fmt_bytes(*needed_bytes),
+                angel_hw::fmt_bytes(*available_bytes),
                 angel_hw::fmt_bytes(*usable_bytes)
             ),
             Error::WorkingSetTooLarge {
@@ -240,8 +275,14 @@ mod tests {
         let e = Error::ModelTooLarge {
             state_bytes: 1 << 40,
             usable_bytes: 1 << 30,
+            tier: CapacityTier::CpuPool,
+            needed_bytes: 3 << 30,
+            available_bytes: 2 << 30,
         };
         assert!(e.to_string().contains("1.00 TiB"));
+        assert!(e
+            .to_string()
+            .contains("per-rank CPU page pool needs 3.00 GiB but holds 2.00 GiB"));
         let e = Error::UnknownTensor(7);
         assert!(e.to_string().contains('7'));
         let e = Error::UnflushedCollective { handle: 3 };

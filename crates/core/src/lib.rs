@@ -93,7 +93,7 @@ pub use allocator::{CompactionReport, PageAllocator, PoolStats};
 pub use communicator::{CommGroup, CommKind, CommRecord, Communicator, GroupSpec};
 pub use config::EngineConfig;
 pub use engine::{ClusterEvent, Engine, IterStats, OnlineReport, RunReport, SpliceReport};
-pub use error::{Error, Result, StoreError, StoreErrorKind, StoreOp, TrainerError};
+pub use error::{CapacityTier, Error, Result, StoreError, StoreErrorKind, StoreOp, TrainerError};
 pub use executor::{Executor, Stream};
 pub use fault::{FaultCounters, FaultPlan, FaultyStore};
 pub use obs::{MetricsSnapshot, ObsEvent, ObsThread, Recorder};

@@ -440,6 +440,7 @@ pub struct ScheduleLowering<'a> {
 
 /// A lowered iteration: the ready-to-run simulation plus the ids of the
 /// resources whose utilization the stats report.
+#[derive(Clone)]
 pub struct LoweredIteration {
     pub sim: Simulation,
     pub gpu: ResourceId,

@@ -11,13 +11,14 @@
 //! placement to a real [`PageAllocator`] so every page-accounting invariant
 //! is enforced, not assumed.
 //!
-//! Every capacity rejection goes through [`MemoryPlan::too_large`], so the
-//! reported usable capacity is consistent across failure modes: the full
-//! hierarchy (GPU + CPU pool + SSD) across all ranks.
+//! Every capacity rejection goes through [`MemoryPlan::too_large`], which
+//! names the tier that overflowed with its needed and available bytes, and
+//! reports the same hierarchy-wide usable capacity (GPU + CPU pool + SSD,
+//! all ranks) for context whichever tier tripped.
 
 use crate::allocator::PageAllocator;
 use crate::config::EngineConfig;
-use crate::error::{Error, Result};
+use crate::error::{CapacityTier, Error, Result};
 use crate::tensor::DType;
 use angel_hw::DeviceId;
 use serde::{Deserialize, Serialize};
@@ -96,24 +97,40 @@ impl MemoryPlan {
             rank_ssd_pool: config.usable_ssd_bytes() / gpus_per_server,
             gpu_budget: config.gpu_budget(),
         };
-        if buffers_per_server > (host_physical as f64 * 0.60) as u64 {
-            return Err(plan.too_large(shard.state_bytes));
+        let buffer_cap = (host_physical as f64 * 0.60) as u64;
+        if buffers_per_server > buffer_cap {
+            return Err(plan.too_large(
+                shard.state_bytes,
+                CapacityTier::PinnedBuffers,
+                buffers_per_server,
+                buffer_cap,
+            ));
         }
         Ok(plan)
     }
 
     /// Total usable bytes across the memory hierarchy, all ranks: the
-    /// capacity every [`Error::ModelTooLarge`] reports, whichever invariant
-    /// tripped.
+    /// context capacity every [`Error::ModelTooLarge`] reports, whichever
+    /// tier tripped.
     pub fn usable_capacity_bytes(&self) -> u64 {
         (self.gpu_budget + self.rank_cpu_pool + self.rank_ssd_pool) * self.n_gpus as u64
     }
 
-    /// The uniform capacity error for a model of `state_bytes`.
-    pub fn too_large(&self, state_bytes: u64) -> Error {
+    /// The capacity error for a model of `state_bytes` whose placement
+    /// needed `needed_bytes` of `tier` where only `available_bytes` exist.
+    pub fn too_large(
+        &self,
+        state_bytes: u64,
+        tier: CapacityTier,
+        needed_bytes: u64,
+        available_bytes: u64,
+    ) -> Error {
         Error::ModelTooLarge {
             state_bytes,
             usable_bytes: self.usable_capacity_bytes(),
+            tier,
+            needed_bytes,
+            available_bytes,
         }
     }
 
@@ -149,7 +166,12 @@ impl MemoryPlan {
         };
         let cpu_needed = optim_cpu + p16_cpu;
         if cpu_needed > self.rank_cpu_pool {
-            return Err(self.too_large(shard.state_bytes));
+            return Err(self.too_large(
+                shard.state_bytes,
+                CapacityTier::CpuPool,
+                cpu_needed,
+                self.rank_cpu_pool,
+            ));
         }
         Ok(PlacementPlan {
             placement: Placement {
@@ -264,8 +286,13 @@ mod tests {
             Err(Error::ModelTooLarge {
                 state_bytes,
                 usable_bytes,
+                tier,
+                needed_bytes,
+                available_bytes,
             }) => {
                 assert_eq!(state_bytes, model.model_state_bytes());
+                assert_eq!(tier, CapacityTier::PinnedBuffers);
+                assert!(needed_bytes > available_bytes);
                 // The unified helper reports the whole hierarchy, exactly as
                 // the pool-overflow branch does — not bare host RAM.
                 let gps = config.cluster.server.num_gpus() as u64;
@@ -282,6 +309,39 @@ mod tests {
     }
 
     #[test]
+    fn cpu_pool_overflow_names_the_tier() {
+        // Regression: this rank's CPU page pool overflows while the model's
+        // states (3.52 TiB) sit far below the hierarchy's usable capacity
+        // (11.78 TiB, mostly SSD). The error used to print only those two
+        // totals, which contradict the rejection.
+        let model = TransformerConfig::gpt3_175b().with_layers(98);
+        let config = EngineConfig::single_server()
+            .with_ssd(true)
+            .with_batch_size(2);
+        let err = crate::Engine::initialize(&model, &config)
+            .err()
+            .expect("the CPU pool cannot hold the spilled states");
+        let Error::ModelTooLarge {
+            state_bytes,
+            usable_bytes,
+            tier,
+            needed_bytes,
+            available_bytes,
+        } = err
+        else {
+            panic!("expected ModelTooLarge, got {err:?}");
+        };
+        assert_eq!(tier, CapacityTier::CpuPool);
+        assert!(state_bytes < usable_bytes);
+        assert!(needed_bytes > available_bytes);
+        let shard = shard_for(&model, &config);
+        let mem = MemoryPlan::build(&config, &shard).unwrap();
+        assert_eq!(available_bytes, mem.rank_cpu_pool);
+        let msg = err.to_string();
+        assert!(msg.contains("per-rank CPU page pool needs"), "{msg}");
+    }
+
+    #[test]
     fn capacity_helper_sums_all_tiers_across_ranks() {
         let mem = MemoryPlan {
             n_gpus: 8,
@@ -293,10 +353,11 @@ mod tests {
             gpu_budget: 1000,
         };
         assert_eq!(mem.usable_capacity_bytes(), (1000 + 100 + 10) * 8);
-        match mem.too_large(42) {
+        match mem.too_large(42, CapacityTier::CpuPool, 101, 100) {
             Error::ModelTooLarge {
                 state_bytes,
                 usable_bytes,
+                ..
             } => {
                 assert_eq!((state_bytes, usable_bytes), (42, 8880));
             }

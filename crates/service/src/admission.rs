@@ -78,7 +78,7 @@ pub fn admit_at(
 /// off the GPU-domain peak bound. Returns the certificate and whether the
 /// lowering verified clean (no races, well-formed lifetimes).
 pub fn certify(engine: &Engine, servers: usize) -> (AdmissionCertificate, bool) {
-    let lowered = engine.lower_iteration();
+    let lowered = engine.lowered();
     let report = PlanGraph::from_sim(&lowered.sim).verify();
     let clean = report.is_clean();
     // An unclean report carries no peak bounds; treat the bound as
@@ -125,7 +125,7 @@ mod tests {
         assert_eq!(cert.gpu_budget_bytes, engine.config().gpu_budget());
         // The certified bound dominates the *executed* peak of the lowered
         // iteration — that is exactly why it is the admission predicate.
-        let lowered = engine.lower_iteration();
+        let lowered = engine.lowered();
         let exec = lowered.sim.run();
         let report = PlanGraph::from_sim(&lowered.sim).verify();
         assert!(report.covers(&exec));

@@ -78,6 +78,7 @@ fn capacity_errors_are_informative() {
         Err(Error::ModelTooLarge {
             state_bytes,
             usable_bytes,
+            ..
         }) => {
             assert!(state_bytes > usable_bytes);
         }

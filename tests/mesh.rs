@@ -30,8 +30,8 @@ fn explicit_zero3_plan_is_byte_identical_to_the_default() {
     let mut e_def = Engine::initialize(&model, &base).unwrap();
     let mut e_exp = Engine::initialize(&model, &explicit).unwrap();
 
-    let lo_def = e_def.lower_iteration();
-    let lo_exp = e_exp.lower_iteration();
+    let lo_def = e_def.lowered();
+    let lo_exp = e_exp.lowered();
     assert_eq!(lo_def.sim.num_tasks(), lo_exp.sim.num_tasks());
     assert_eq!(
         lo_def.sim.resources().iter().count(),
@@ -58,7 +58,7 @@ fn mesh_plan_lowers_and_verifies_clean() {
         .with_batch_size(2)
         .with_parallelism(plan);
     let mut engine = Engine::initialize(&model, &config).expect("mesh plan must initialize");
-    let lowered = engine.lower_iteration();
+    let lowered = engine.lowered();
     let names: Vec<&str> = lowered
         .sim
         .resources()
@@ -142,7 +142,7 @@ fn planner_scales_to_1024_gpus() {
     };
     let engine = Engine::initialize(&model, &cluster.with_batch_size(1).with_parallelism(plan))
         .expect("composed 1024-GPU plan must initialize");
-    let lowered = engine.lower_iteration();
+    let lowered = engine.lowered();
     assert!(lowered.sim.num_tasks() > 0);
     verify_clean(&lowered.sim, "1024-GPU composed plan");
 }

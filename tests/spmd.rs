@@ -238,7 +238,7 @@ mod properties {
             let mesh = config.device_mesh().expect("constructed to factor");
             let engine = Engine::initialize(&model, &config)
                 .expect("small model fits every shape");
-            let lowered = engine.lower_iteration();
+            let lowered = engine.lowered();
             let full = SpmdTrace::project_full(&lowered.comm_log, &mesh).verify();
             prop_assert!(full.is_certified(), "full:\n{}", full.describe());
             let reduced = SpmdTrace::project_reduced(&lowered.comm_log, &mesh).verify();

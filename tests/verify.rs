@@ -50,7 +50,7 @@ fn engine_lowerings_verify_clean_across_configs() {
     ];
     for (what, config) in configs {
         let engine = Engine::initialize(&model, &config).expect("engine must initialize");
-        let lowered = engine.lower_iteration();
+        let lowered = engine.lowered();
         verify_clean(&lowered.sim, &format!("engine lowering ({what})"));
     }
 }
@@ -107,7 +107,7 @@ fn large_lowering_verifies_clean() {
     let model = TransformerConfig::gpt3_175b().with_layers(1500);
     let config = EngineConfig::servers(16).with_ssd(true);
     let engine = Engine::initialize(&model, &config).expect("deep model must fit the SSD fleet");
-    let lowered = engine.lower_iteration();
+    let lowered = engine.lowered();
     let tasks = lowered.sim.num_tasks();
     assert!(tasks > 20_000, "lowering has only {tasks} tasks");
     verify_clean(&lowered.sim, "deep gpt3-175b-geometry lowering");
@@ -121,7 +121,7 @@ fn deleting_a_dependency_edge_plants_a_race() {
     let model = small_gpt();
     let config = EngineConfig::single_server().with_batch_size(2);
     let engine = Engine::initialize(&model, &config).expect("engine must initialize");
-    let lowered = engine.lower_iteration();
+    let lowered = engine.lowered();
 
     let mut graph = PlanGraph::from_sim(&lowered.sim);
     let gather = graph.task_by_label("all_gather s0");
