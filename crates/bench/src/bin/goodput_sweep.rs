@@ -268,16 +268,15 @@ fn main() {
     let ckpt = lower_checkpoint(model, &config);
     let lo = checkpoint_write_graph(model, &config);
     let ssd = lo.ssd_id();
-    let mut sim = lo.into_sim();
     let outage_ns = (ckpt.write_secs * 2e9) as u64; // 2× the clean write
-    sim.inject_fault(FaultEvent {
+    let faulted = lo.sim().run_with_faults(&[FaultEvent {
         resource: ssd,
         at: 0,
         kind: FaultKind::Outage {
             duration: outage_ns,
         },
-    });
-    let degraded_write = ns_to_s(sim.run().makespan);
+    }]);
+    let degraded_write = ns_to_s(faulted.makespan);
     recorder
         .gauge("ckpt.degraded_write_ms")
         .set((degraded_write * 1e3) as u64);

@@ -15,8 +15,9 @@
 //!
 //! Every timed pair is also checked byte-identical (same tasks, same stats),
 //! so the speedup numbers are for provably equivalent schedules. The
-//! `replan-*` rows time a warm incremental `Planner::replan` against a
-//! from-scratch plan of the same mutated input.
+//! `replan-*` rows time a warm `Planner::replan` — the slack fast path when
+//! the delta fits its margins, otherwise a from-scratch replan on the
+//! session's buffers — against `schedule()` of the same mutated input.
 
 use angel_bench::Experiment;
 use angel_core::scheduler::{
@@ -87,8 +88,8 @@ fn model_row(name: &'static str, cfg: &TransformerConfig, dp: usize, budget: u64
 }
 
 /// A replan case: a named mutation of `base`, expressed both as the mutated
-/// input (for the from-scratch side) and as forward/reverse deltas (for the
-/// incremental side, applied alternately so each timed replan starts from a
+/// input (for the `schedule()` side) and as forward/reverse deltas (for the
+/// session side, applied alternately so each timed replan starts from a
 /// warm session with reusable buffers).
 struct DeltaCase {
     name: String,
@@ -99,9 +100,9 @@ struct DeltaCase {
 impl DeltaCase {
     fn single_layer(model: &str, base: &SchedulerInput) -> Self {
         // A one-byte working-set nudge on one layer: the canonical local
-        // delta (an activation-footprint re-estimate). The planner must
-        // revalidate, recompute the touched layer and diff triggers, but the
-        // surviving decisions let the emission patch in place.
+        // delta (an activation-footprint re-estimate). The increase fits the
+        // recorded decision margins, so it takes the slack fast path: no
+        // decision replay and no emission.
         let idx = base.layers.len() / 2;
         let mut mutated = base.clone();
         mutated.layers[idx].working_set += 1;
@@ -114,7 +115,8 @@ impl DeltaCase {
 
     fn outage(model: &str, base: &SchedulerInput) -> Self {
         // A degraded fleet tightens the budget by 1/16 — a pure capacity
-        // delta, the Engine::run_online outage splice.
+        // delta, like the Engine::run_online outage splice. It replans from
+        // scratch.
         let mut mutated = base.clone();
         mutated.gpu_budget -= mutated.gpu_budget / 16;
         Self {
@@ -126,7 +128,7 @@ impl DeltaCase {
 
     fn resize(model: &str, base: &SchedulerInput, resized: &SchedulerInput) -> Self {
         // Elastic resize dp 8 → 16: every layer's shard halves — the delta
-        // touches all layers, the fast path's worst case.
+        // touches all layers and replans from scratch.
         Self {
             name: format!("replan-resize-{model}"),
             base: base.clone(),
@@ -228,11 +230,12 @@ fn main() {
             "identical": identical,
         }));
     }
-    // Incremental replanning (the ReplanDelta fast path) vs. a from-scratch
-    // schedule of the same mutated input. Columns map as: optimized =
-    // warm-session incremental replan, oracle = from-scratch schedule()
-    // (`Planner::new`) of the mutated input. `identical` asserts the session's emitted schedule is
-    // byte-equal to the from-scratch one.
+    // Replanning a warm session vs. schedule() of the same mutated input.
+    // Columns map as: optimized = `Planner::replan` on a warm session (the
+    // slack fast path, or a full replan that reuses the session's buffers),
+    // oracle = from-scratch schedule() (`Planner::new`) of the mutated
+    // input. `identical` asserts the session's schedule is byte-equal to
+    // the from-scratch one.
     let mut cases = Vec::new();
     for (model, cfg) in [
         ("gpt3-13b", TransformerConfig::gpt3_13b()),
@@ -267,7 +270,7 @@ fn main() {
         let identical = *planner.schedule() == full;
         assert!(
             identical,
-            "{}: incremental replan diverges from from-scratch schedule",
+            "{}: replanned session diverges from from-scratch schedule",
             case.name
         );
         let speedup = full_s / inc_s.max(1e-9);
@@ -314,8 +317,9 @@ fn main() {
          (segment-tree timeline, run-form batched evict/re-add); oracle = \
          retained per-page O(pages × steps) implementation. Both emit \
          byte-identical schedules (asserted). replan-* rows compare a warm \
-         incremental session (optimized) against a from-scratch schedule of \
-         the mutated input (oracle).",
+         session's replan (optimized: the slack fast path, or a full replan \
+         on reused buffers) against a from-scratch schedule of the mutated \
+         input (oracle).",
     );
     table.emit();
 

@@ -28,8 +28,8 @@
 //!    schedule. Debug builds verify it there, once. Every iteration, the
 //!    SPMD certificate, the merged trace and service admission read that one
 //!    graph, so the graph that is verified is the graph that runs. Faults
-//!    are never written into it: an iteration with injected faults runs a
-//!    clone.
+//!    are never written into it: an iteration with injected faults passes
+//!    them to that graph's run.
 //!
 //! [`Engine::train_iteration`] runs the lowered iteration and reports the
 //! quantities the paper's evaluation tables measure: iteration time →
@@ -46,7 +46,7 @@ use crate::plan::{
     lower_schedule, FaultTarget, LoweredIteration, MemoryPlan, ScheduleLowering, SchedulePlan,
     ShardPlan, TracePlan,
 };
-use crate::replan::{Planner, ReplanOutcome};
+use crate::replan::ReplanOutcome;
 use crate::scheduler::Schedule;
 use crate::tracer::Trace;
 use angel_hw::DeviceId;
@@ -143,9 +143,10 @@ pub struct SpliceReport {
     /// Cluster size (servers) after the splice.
     pub servers: usize,
     /// Wall-clock nanoseconds of the full replan (trace → shard → place →
-    /// incremental schedule → materialize).
+    /// schedule → materialize).
     pub replan_ns: u64,
-    /// What the incremental planner reused versus recomputed.
+    /// What the replan reused: a splice plans from scratch, so every layer
+    /// is touched, none is reused and every trigger slot is emitted.
     pub outcome: ReplanOutcome,
     /// Whether the spliced lowering was verified (plan graph + SPMD) when
     /// the splice built it — true in every debug build, false in release
@@ -220,10 +221,6 @@ pub struct Engine {
     /// Observability handle; disabled (free) unless attached via
     /// [`Engine::set_recorder`] / [`Engine::with_recorder`].
     recorder: Recorder,
-    /// The persistent incremental-planner session behind this engine's
-    /// schedule. [`Engine::run_online`] replans through it, so a cluster
-    /// change pays only for the layers it touches.
-    planner: Option<Planner>,
     /// The healthy-fleet GPU reservation from the config this engine was
     /// initialized with. Outage splices *tighten* `config.gpu_reserved`
     /// (degraded headroom accumulates across outages); an elastic
@@ -243,9 +240,7 @@ impl Engine {
         let traced = TracePlan::build(model, config)?;
         let shard = ShardPlan::build(model, config, &traced);
         let mem = MemoryPlan::build(config, &shard)?;
-        let mut planner = None;
-        let planned =
-            SchedulePlan::build_with_planner(config, &shard, &mem, &traced.zero, &mut planner)?;
+        let planned = SchedulePlan::build(config, &shard, &mem, &traced.zero)?;
         let placed = mem.place(config, &shard, &planned)?;
         let allocator = mem.materialize(config, model.layers, &placed)?;
         let lowered = Self::lower(
@@ -270,7 +265,6 @@ impl Engine {
             cache_plan: planned.cache_plan,
             allocator,
             recorder: Recorder::disabled(),
-            planner,
             baseline_gpu_reserved: config.gpu_reserved,
             lowered,
         })
@@ -408,21 +402,22 @@ impl Engine {
 
     /// Execute one training iteration on the simulated hardware.
     pub fn train_iteration(&mut self) -> IterStats {
-        self.step(None)
+        self.step(&[])
     }
 
-    /// Run one iteration — the stored lowering, or `faulted`, a clone of it
-    /// with injected [`FaultEvent`]s — then let the allocator compact.
-    fn step(&mut self, faulted: Option<LoweredIteration>) -> IterStats {
-        let stats = self.run_lowered(faulted.as_ref().unwrap_or(&self.lowered));
+    /// Run one iteration of the stored lowering with `faults` firing during
+    /// it, then let the allocator compact.
+    fn step(&mut self, faults: &[FaultEvent]) -> IterStats {
+        let stats = self.run_lowered(faults);
         self.allocator.maybe_compact(DeviceId::CPU);
         stats
     }
 
-    /// Execute one lowered iteration and report its stats.
-    fn run_lowered(&self, lowered: &LoweredIteration) -> IterStats {
+    /// Execute the stored lowering once, with `faults`, and report its stats.
+    fn run_lowered(&self, faults: &[FaultEvent]) -> IterStats {
         let wall_start = self.recorder.now_ns();
-        let report = lowered.sim.run();
+        let lowered = &self.lowered;
+        let report = lowered.sim.run_with_faults(faults);
         // The lowered graph covers one pipeline slot (one micro-batch through
         // this rank's stage). A 1F1B pipeline drains `micro_batches + pp − 1`
         // such slots per iteration; the degenerate plan (1 micro-batch, no
@@ -549,15 +544,15 @@ impl Engine {
     /// Run `iters` iterations under a stream of [`ClusterEvent`]s — the
     /// online-replanning loop. Each event's faults are injected into the
     /// simulation of iteration `at_iter`; at the `at_iter → at_iter + 1`
-    /// boundary the engine replans the remaining iterations against the
-    /// changed topology through its persistent incremental [`Planner`] and
-    /// splices the new lowered schedule in. The abandoned tail of the old
-    /// plan never executes: every post-splice iteration runs the new
-    /// schedule's lowering, byte-identical to a fresh engine initialized at
-    /// the new configuration. Debug builds verify each spliced lowering
+    /// boundary the engine replans the remaining iterations from scratch
+    /// against the changed topology and splices the new lowered schedule
+    /// in. The abandoned tail of the old plan never executes: every
+    /// post-splice iteration runs the new schedule's lowering,
+    /// byte-identical to a fresh engine initialized at the new
+    /// configuration. Debug builds verify each spliced lowering
     /// once, when it is built (plan graph + symmetry-reduced SPMD
-    /// certification). A faulted iteration runs a clone of the lowering
-    /// with the faults injected; the stored graph never sees them.
+    /// certification). A faulted iteration runs the stored lowering with
+    /// its faults passed to the run; the stored graph never holds them.
     ///
     /// Zero iterations is an empty report (no iterations, no splices,
     /// time 0). Errors when a replan is infeasible (e.g. the surviving
@@ -569,9 +564,9 @@ impl Engine {
         let mut total_ns = 0u64;
         let mut samples = 0f64;
         for k in 0..iters {
-            // Faults go into a clone: the stored lowering stays fault-free
-            // for every later iteration of this schedule.
-            let mut faulted: Option<LoweredIteration> = None;
+            // Faults are an argument of this iteration's run: the stored
+            // lowering never holds one.
+            let mut faults = Vec::new();
             for ev in events.iter().filter(|e| e.at_iter() == k) {
                 let fault = match *ev {
                     ClusterEvent::Outage {
@@ -593,12 +588,9 @@ impl Engine {
                     },
                     ClusterEvent::Resize { .. } => continue, // boundary-only
                 };
-                faulted
-                    .get_or_insert_with(|| self.lowered.clone())
-                    .sim
-                    .inject_fault(fault);
+                faults.push(fault);
             }
-            let mut stats = self.step(faulted);
+            let mut stats = self.step(&faults);
             total_ns += stats.iter_time_ns;
             if stats.tasks_failed == 0 {
                 samples += self.config.global_batch() as f64;
@@ -630,7 +622,7 @@ impl Engine {
                 let splice = match *ev {
                     // Degraded headroom: tighten the budget by 1/16 of
                     // the current GPU budget (accumulates across
-                    // outages) — a pure capacity delta for the planner.
+                    // outages); the splice replans under it.
                     ClusterEvent::Outage { .. } => {
                         let tightened = self.config.gpu_reserved + self.config.gpu_budget() / 16;
                         self.resplice(k, self.config.cluster.num_servers, tightened)?
@@ -664,9 +656,9 @@ impl Engine {
     /// training service (`angel-service`) builds on. The engine *is* the
     /// session: a scheduler may park it (simply stop calling
     /// [`Engine::train_iteration`]), later resize it onto whatever slice of
-    /// the cluster is free, and resume stepping — the persistent incremental
-    /// planner makes the resize pay only for what changed, and the spliced
-    /// plan is byte-identical to a fresh engine initialized at the new size.
+    /// the cluster is free, and resume stepping. The resize plans from
+    /// scratch, so the spliced plan is byte-identical to a fresh engine
+    /// initialized at the new size.
     ///
     /// The resized fleet is healthy capacity, so any outage-tightened GPU
     /// reservation is restored to the initialization baseline (same recovery
@@ -679,9 +671,9 @@ impl Engine {
         self.resplice(at_iter, servers, self.baseline_gpu_reserved)
     }
 
-    /// Replan the engine onto `servers` servers with `gpu_reserved` bytes
-    /// held back, through the persistent incremental planner, and splice
-    /// the new plan in. On error the engine keeps its previous plan.
+    /// Replan the engine from scratch onto `servers` servers with
+    /// `gpu_reserved` bytes held back, and splice the new plan in. On error
+    /// the engine keeps its previous plan.
     fn resplice(
         &mut self,
         at_iter: usize,
@@ -702,13 +694,7 @@ impl Engine {
         let traced = TracePlan::build(&self.model, &config)?;
         let shard = ShardPlan::build(&self.model, &config, &traced);
         let mem = MemoryPlan::build(&config, &shard)?;
-        let planned = SchedulePlan::build_with_planner(
-            &config,
-            &shard,
-            &mem,
-            &traced.zero,
-            &mut self.planner,
-        )?;
+        let planned = SchedulePlan::build(&config, &shard, &mem, &traced.zero)?;
         let placed = mem.place(&config, &shard, &planned)?;
         let allocator = mem.materialize(&config, self.model.layers, &placed)?;
         let replan_ns = saturating_ns(t0.elapsed().as_nanos()).max(1);
@@ -725,6 +711,9 @@ impl Engine {
             "spliced iteration lowering",
         );
 
+        let outcome =
+            ReplanOutcome::from_scratch(shard.input.layers.len(), planned.schedule.num_steps);
+
         // Commit the spliced plan.
         self.lowered = lowered;
         self.config = config;
@@ -736,17 +725,10 @@ impl Engine {
         if self.recorder.is_enabled() {
             self.allocator.set_recorder(self.recorder.clone());
         }
-        let outcome = self
-            .planner
-            .as_ref()
-            .map(|p| p.last_outcome())
-            .unwrap_or_default();
 
         let rec = &self.recorder;
         rec.counter("plan.replans").inc();
         rec.counter("plan.replan_ns").add(replan_ns);
-        rec.counter("plan.layers_reused")
-            .add(outcome.layers_reused as u64);
         rec.span(ObsThread::Engine, "replan", -1, wall_start);
         rec.counter_sample(ObsThread::Engine, "plan.replan_ns", replan_ns);
         Ok(SpliceReport {
@@ -1082,6 +1064,12 @@ mod tests {
         let s1 = e.train_iteration();
         let grown = e.splice_resize(0, 2).unwrap();
         assert_eq!(grown.servers, 2);
+        // A splice is a fresh plan: nothing reused, every trigger emitted.
+        assert_eq!(
+            grown.outcome,
+            ReplanOutcome::from_scratch(grown.outcome.layers_touched, e.schedule().num_steps)
+        );
+        assert!(grown.outcome.layers_touched > 0);
         let s2 = e.train_iteration();
         let fresh2 = Engine::initialize(&tiny_model(), &EngineConfig::servers(2))
             .unwrap()

@@ -408,11 +408,6 @@ impl Lowering {
         self.sim.run()
     }
 
-    /// Hand the finished graph to the caller.
-    pub fn into_sim(self) -> Simulation {
-        self.sim
-    }
-
     /// The journal of every communication operation submitted so far.
     pub fn comm_log(&self) -> &[CommRecord] {
         self.communicator.comm_log()
@@ -993,14 +988,12 @@ mod tests {
         let lo = checkpoint_write_graph(&model, &config);
         let ssd = lo.ssd_id();
         let clean = lo.run().makespan;
-        let mut sim = lo.into_sim();
         let outage = clean / 2;
-        sim.inject_fault(FaultEvent {
+        let faulted = lo.sim().run_with_faults(&[FaultEvent {
             resource: ssd,
             at: clean / 4,
             kind: FaultKind::Outage { duration: outage },
-        });
-        let faulted = sim.run();
+        }]);
         assert!(faulted.failed_tasks.is_empty());
         assert_eq!(faulted.makespan, clean + outage);
     }

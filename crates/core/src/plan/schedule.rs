@@ -8,11 +8,15 @@
 //! schedule's residency statistics then size the optimizer-state cache:
 //! spare GPU memory (budget − planned peak − safety margin) holds hot
 //! FP32 pages so their updates run on the GPU and skip the PCIe round trip.
+//!
+//! Every build plans from scratch ([`UnifiedScheduler::schedule`]): an
+//! engine splice gets a fresh plan of its new input, never a diff against
+//! the previous schedule.
 
 use crate::cache::{plan_cache, CachePlan};
 use crate::config::EngineConfig;
 use crate::error::Result;
-use crate::replan::{Planner, ReplanDelta};
+use crate::replan::Planner;
 use crate::scheduler::{Schedule, UnifiedScheduler};
 use crate::zero::ZeroPartition;
 
@@ -38,45 +42,11 @@ impl SchedulePlan {
         mem: &MemoryPlan,
         zero: &ZeroPartition,
     ) -> Result<Self> {
-        Self::build_with_planner(config, shard, mem, zero, &mut None)
-    }
-
-    /// [`SchedulePlan::build`] through a persistent incremental
-    /// [`Planner`] session. When `planner` holds a session with the same
-    /// scheduler configuration, the new shard input is planned as a
-    /// [`ReplanDelta`] against the previous one — the segment-tree fast
-    /// path that reuses untouched layers' decisions and task slots — and
-    /// the session's [`crate::ReplanOutcome`] reports what carried over.
-    /// Otherwise (first plan, or a configuration change) a fresh session is
-    /// created and stored — the from-scratch plan that
-    /// [`UnifiedScheduler::schedule`] also runs. Either way the resulting
-    /// schedule is byte-identical to a from-scratch plan of `shard.input`,
-    /// and a rejected (infeasible) input leaves the session on its previous
-    /// plan.
-    pub fn build_with_planner(
-        config: &EngineConfig,
-        shard: &ShardPlan,
-        mem: &MemoryPlan,
-        zero: &ZeroPartition,
-        planner: &mut Option<Planner>,
-    ) -> Result<Self> {
         let sched = UnifiedScheduler {
             phase2: config.phase2_advance,
             ..Default::default()
         };
-        let schedule = match planner {
-            Some(p) if *p.scheduler() == sched => {
-                let delta = ReplanDelta::diff(p.input(), &shard.input);
-                p.replan(&delta)?;
-                p.schedule().clone()
-            }
-            _ => {
-                let p = Planner::new(sched, shard.input.clone())?;
-                let schedule = p.schedule().clone();
-                *planner = Some(p);
-                schedule
-            }
-        };
+        let schedule = sched.schedule(&shard.input)?;
 
         // GPU residency decided by the scheduler (param shard pages) plus
         // whatever optimizer cache fits afterwards. The base is this rank's
@@ -106,6 +76,20 @@ impl SchedulePlan {
             cache_plan,
             resident_param_bytes,
         })
+    }
+
+    /// [`SchedulePlan::build`], kept only because the benchmark harness
+    /// (`perfbench/`) still calls it by this name. It plans from scratch
+    /// and clears `planner`: no session outlives a plan.
+    pub fn build_with_planner(
+        config: &EngineConfig,
+        shard: &ShardPlan,
+        mem: &MemoryPlan,
+        zero: &ZeroPartition,
+        planner: &mut Option<Planner>,
+    ) -> Result<Self> {
+        *planner = None;
+        Self::build(config, shard, mem, zero)
     }
 }
 
@@ -152,52 +136,6 @@ mod tests {
         assert_eq!(without.cache_plan.cache_bytes, 0);
         // The schedule itself is cache-independent.
         assert_eq!(with.schedule.stats, without.schedule.stats);
-    }
-
-    #[test]
-    fn planner_session_reuse_is_byte_identical_to_fresh_builds() {
-        let model = tiny();
-        let config = EngineConfig::single_server();
-        let traced = TracePlan::build(&model, &config).unwrap();
-        let shard = ShardPlan::build(&model, &config, &traced);
-        let mem = MemoryPlan::build(&config, &shard).unwrap();
-        let mut planner = None;
-        let first =
-            SchedulePlan::build_with_planner(&config, &shard, &mem, &traced.zero, &mut planner)
-                .unwrap();
-        assert_eq!(
-            first.schedule.tasks,
-            SchedulePlan::build(&config, &shard, &mem, &traced.zero)
-                .unwrap()
-                .schedule
-                .tasks
-        );
-
-        // Second build with a tighter budget goes through the incremental
-        // session and must still match a from-scratch plan of the new input.
-        let mut tight = config.clone();
-        tight.gpu_reserved *= 4;
-        let traced2 = TracePlan::build(&model, &tight).unwrap();
-        let shard2 = ShardPlan::build(&model, &tight, &traced2);
-        let mem2 = MemoryPlan::build(&tight, &shard2).unwrap();
-        let second =
-            SchedulePlan::build_with_planner(&tight, &shard2, &mem2, &traced2.zero, &mut planner)
-                .unwrap();
-        let fresh = SchedulePlan::build(&tight, &shard2, &mem2, &traced2.zero).unwrap();
-        assert_eq!(second.schedule.tasks, fresh.schedule.tasks);
-        assert_eq!(second.schedule.stats, fresh.schedule.stats);
-        let p = planner.as_ref().unwrap();
-        assert_eq!(p.input(), &shard2.input);
-        assert!(p.last_outcome().triggers_total > 0);
-
-        // A scheduler-config change (phase-2 off) abandons the session and
-        // rebuilds — the stored planner now carries the new configuration.
-        let off = tight.clone().with_phase2_advance(false);
-        let third =
-            SchedulePlan::build_with_planner(&off, &shard2, &mem2, &traced2.zero, &mut planner)
-                .unwrap();
-        assert_eq!(third.schedule.stats.gathers_advanced, 0);
-        assert!(!planner.as_ref().unwrap().scheduler().phase2);
     }
 
     #[test]

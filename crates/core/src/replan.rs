@@ -1,4 +1,5 @@
-//! Algorithm 1's one implementation, from scratch and incrementally.
+//! Algorithm 1's one implementation, from scratch and with a slack fast
+//! path for replans.
 //!
 //! A full plan at GPT-3-1T scale is dominated by the O(tasks) emission of
 //! the ~10⁵-task trigger-sorted list. The *decisions* — which page runs
@@ -11,35 +12,31 @@
 //!
 //! [`Planner::new`] runs both phases and the emission once; that *is*
 //! [`UnifiedScheduler::schedule`], which consumes a fresh session through
-//! [`Planner::into_schedule`]. A live session keeps its decision state, so
-//! a [`ReplanDelta`] — layers touched, steps removed/added, capacity
-//! changed — replans by:
+//! [`Planner::into_schedule`]. A live session keeps its decisions and the
+//! margins by which each held, so a [`ReplanDelta`] — layers touched, steps
+//! removed/added, capacity changed — replans in one of two tiers:
 //!
-//! 1. reverting the segment-tree timeline to its pre-decision baseline with
-//!    one memcpy ([`crate::seqtree::RangeAddMax::restore_from`]) and
-//!    patching only the touched layers' byte deltas as O(log steps) range
-//!    adds ([`TimelineState::reset_reverting`]);
-//! 2. re-running the decision phases over runs (binary searches on cached
-//!    per-layer page-prefix sums replace the per-page stack loops);
-//! 3. diffing the new decisions against the previous ones to find the
-//!    *dirty triggers*, and re-emitting only those slots of the
-//!    trigger-sorted task list — untouched layers' evict/re-add/prefetch
-//!    decisions and their task slots are preserved verbatim (`memcpy` of
-//!    clean regions, or pure in-place patching when the offsets are
-//!    unchanged).
+//! 1. the **slack fast path**: a working-set-only increase that fits every
+//!    recorded decision margin flips no greedy choice, so it commits as a
+//!    few O(log steps) point patches with no decision replay and no
+//!    emission (an empty delta is the trivial case);
+//! 2. otherwise **from scratch**: the timeline is re-armed
+//!    ([`TimelineState::reset`]), both decision phases rerun, and the whole
+//!    task list is emitted again — the same work as [`Planner::new`], on
+//!    the session's reused buffers.
 //!
 //! The independent reference is the original per-page planner,
 //! `scheduler::oracle::schedule` (test and `verify-extras` builds only):
-//! every incremental result is proven byte-identical (tasks, offsets,
-//! stats) to it on the mutated input by the unit tests and a proptest over
-//! random mutation sequences below, and the scheduler proptest does the same
-//! for fresh sessions. DESIGN.md §14 gives the delta model and the
-//! splice-soundness argument built on this identity.
+//! every replanned result is proven byte-identical (tasks, offsets, stats)
+//! to it on the mutated input by the unit tests and a proptest over random
+//! mutation sequences below, and the scheduler proptest does the same for
+//! fresh sessions. DESIGN.md §14 gives the delta model and the fast path's
+//! soundness argument.
 
 use crate::error::{Error, Result};
 use crate::scheduler::{
-    LayerPatch, LayerPlan, PlannedPage, Schedule, ScheduleStats, ScheduleTask, SchedulerInput,
-    StepKind, TaskOp, TimelineState, UnifiedScheduler,
+    LayerPlan, PlannedPage, Schedule, ScheduleStats, ScheduleTask, SchedulerInput, StepKind,
+    TaskOp, TimelineState, UnifiedScheduler,
 };
 use serde::{Deserialize, Serialize};
 
@@ -120,8 +117,7 @@ impl ReplanDelta {
     }
 }
 
-/// What an incremental replan reused versus recomputed — the observability
-/// payload behind the `plan.layers_reused` counter.
+/// What a plan or replan reused versus recomputed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplanOutcome {
     /// Layers whose `LayerPlan` the delta replaced.
@@ -132,9 +128,23 @@ pub struct ReplanOutcome {
     pub triggers_patched: usize,
     /// Total trigger slots in the schedule.
     pub triggers_total: usize,
-    /// Whether the task buffer was patched in place (offsets unchanged)
-    /// rather than rebuilt with clean-region memcpys.
+    /// Whether the replan kept the task buffer (the slack fast path) rather
+    /// than emitting it again.
     pub patched_in_place: bool,
+}
+
+impl ReplanOutcome {
+    /// A from-scratch plan of `n_steps` steps that touched `layers_touched`
+    /// layers: nothing reused, every trigger slot emitted.
+    pub fn from_scratch(layers_touched: usize, n_steps: usize) -> Self {
+        Self {
+            layers_touched,
+            layers_reused: 0,
+            triggers_patched: n_steps,
+            triggers_total: n_steps,
+            patched_in_place: false,
+        }
+    }
 }
 
 /// A contiguous run of pages `[lo, hi)` of one layer — the unit the decision
@@ -159,8 +169,8 @@ struct ReaddEvent {
 
 /// The Algorithm 1 planner: a persistent [`UnifiedScheduler`] session that
 /// keeps its input, timeline, decision runs and emitted schedule alive
-/// across [`Planner::replan`] calls, so each delta pays only for what it
-/// touches. `Planner::new` is the from-scratch plan
+/// across [`Planner::replan`] calls, so a delta inside the recorded decision
+/// margins commits without a replay. `Planner::new` is the from-scratch plan
 /// ([`UnifiedScheduler::schedule`] delegates to it); every subsequent state
 /// is byte-identical to a from-scratch plan of the current input.
 pub struct Planner {
@@ -169,29 +179,19 @@ pub struct Planner {
     timeline: TimelineState,
     /// `page_prefix[l][i]` = bytes of layer `l`'s first `i` pages — the
     /// cache that turns per-page stack loops into binary searches. Rebuilt
-    /// only for layers whose page list changed.
+    /// only for layers a delta replaced.
     page_prefix: Vec<Vec<u64>>,
-    // Current decisions.
+    // Current decisions (each step's gather trigger lives in `timeline`).
     moves: Vec<Run>,
     readds: Vec<ReaddEvent>,
-    gather: Vec<usize>,
     gathers_advanced: usize,
-    // Previous decisions (diff source).
-    prev_moves: Vec<Run>,
-    prev_readds: Vec<ReaddEvent>,
-    prev_gather: Vec<usize>,
     // The live schedule, byte-identical to a full plan of `input`.
     schedule: Schedule,
     // Scratch buffers reused across replans.
     wait: Vec<Run>,
-    scratch_tasks: Vec<ScheduleTask>,
-    tmp_tasks: Vec<ScheduleTask>,
     trig_off: Vec<usize>,
     trig_cur: Vec<usize>,
     trig_steps: Vec<usize>,
-    new_off: Vec<usize>,
-    dirty: Vec<bool>,
-    changed_layers: Vec<bool>,
     last_outcome: ReplanOutcome,
     // Decision-margin evidence recorded by the last full `plan_decisions`
     // pass, consumed by the slack fast path (see `try_slack_fast_path`).
@@ -210,10 +210,11 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// Plan `input` from scratch and open an incremental session.
+    /// Plan `input` from scratch and open a replanning session.
     pub fn new(sched: UnifiedScheduler, input: SchedulerInput) -> Result<Self> {
         validate_input(&input)?;
         let timeline = TimelineState::new(&input);
+        let last_outcome = ReplanOutcome::from_scratch(input.layers.len(), input.steps.len());
         let mut planner = Self {
             sched,
             timeline,
@@ -221,11 +222,7 @@ impl Planner {
             input,
             moves: Vec::new(),
             readds: Vec::new(),
-            gather: Vec::new(),
             gathers_advanced: 0,
-            prev_moves: Vec::new(),
-            prev_readds: Vec::new(),
-            prev_gather: Vec::new(),
             schedule: Schedule {
                 tasks: Vec::new(),
                 stats: ScheduleStats {
@@ -239,28 +236,16 @@ impl Planner {
                 trigger_offsets: Vec::new(),
             },
             wait: Vec::new(),
-            scratch_tasks: Vec::new(),
-            tmp_tasks: Vec::new(),
             trig_off: Vec::new(),
             trig_cur: Vec::new(),
             trig_steps: Vec::new(),
-            new_off: Vec::new(),
-            dirty: Vec::new(),
-            changed_layers: Vec::new(),
-            last_outcome: ReplanOutcome::default(),
+            last_outcome,
             slack: Vec::new(),
             p2_spans: Vec::new(),
             poisoned: Vec::new(),
         };
         planner.plan_decisions();
-        planner.emit(false);
-        planner.last_outcome = ReplanOutcome {
-            layers_touched: planner.input.layers.len(),
-            layers_reused: 0,
-            triggers_patched: planner.input.steps.len(),
-            triggers_total: planner.input.steps.len(),
-            patched_in_place: false,
-        };
+        planner.emit();
         Ok(planner)
     }
 
@@ -280,19 +265,15 @@ impl Planner {
         &self.input
     }
 
-    /// The scheduler configuration this session plans with.
-    pub fn scheduler(&self) -> &UnifiedScheduler {
-        &self.sched
-    }
-
     /// What the most recent plan/replan reused.
     pub fn last_outcome(&self) -> ReplanOutcome {
         self.last_outcome
     }
 
-    /// Apply `delta` and replan incrementally. On `Err` the planner is
-    /// untouched (validation and feasibility run before any mutation) and
-    /// the previous schedule stays live.
+    /// Apply `delta` and replan: through the slack fast path when the delta
+    /// fits the recorded decision margins, otherwise from scratch. On `Err`
+    /// the planner is untouched (validation and feasibility run before any
+    /// mutation) and the previous schedule stays live.
     pub fn replan(&mut self, delta: &ReplanDelta) -> Result<ReplanOutcome> {
         // ---- Validate against the prospective input; mutate nothing. ----
         let n_old = self.input.layers.len();
@@ -361,13 +342,13 @@ impl Planner {
         // A working-set-only increase that fits inside every recorded
         // decision margin provably flips no greedy choice, so the whole
         // decision replay — and the emission behind it — can be skipped:
-        // the replan is a handful of O(log steps) point patches.
+        // the replan is a handful of O(log steps) point patches. An empty
+        // delta takes this path too and changes nothing.
         if delta.steps.is_none()
             && delta.step_base_load.is_none()
             && delta.replace_layers.is_none()
             && delta.gpu_budget.is_none()
             && delta.page_size.is_none()
-            && !delta.layers.is_empty()
         {
             if let Some(outcome) = self.try_slack_fast_path(&delta.layers) {
                 self.last_outcome = outcome;
@@ -375,47 +356,23 @@ impl Planner {
             }
         }
 
-        // ---- Apply the delta. ----
-        let full_reset = delta.steps.is_some()
-            || delta.step_base_load.is_some()
-            || delta.replace_layers.is_some();
-        // (layer, old totals, new totals) patches for the revert path.
-        let mut patches: Vec<LayerPatch> = Vec::new();
-        let mut layers_touched = 0usize;
-        self.changed_layers.clear();
-        self.changed_layers.resize(n_new, false);
-        if let Some(rl) = &delta.replace_layers {
-            self.input.layers.clone_from(rl);
-            self.page_prefix.clear();
-            self.page_prefix
-                .extend(self.input.layers.iter().map(prefix_of));
-            layers_touched = n_new;
-            for c in &mut self.changed_layers {
-                *c = true;
+        // ---- Apply the delta, then plan from scratch. ----
+        let layers_touched = match &delta.replace_layers {
+            Some(rl) => {
+                self.input.layers.clone_from(rl);
+                self.page_prefix.clear();
+                self.page_prefix
+                    .extend(self.input.layers.iter().map(prefix_of));
+                n_new
             }
-        } else {
-            for (idx, lp) in &delta.layers {
-                let old = &self.input.layers[*idx];
-                let old_tot = (
-                    self.page_prefix[*idx].last().copied().unwrap_or(0),
-                    old.full_param_bytes,
-                    old.working_set,
-                );
-                let pages_changed = old.shard_pages != lp.shard_pages;
-                self.input.layers[*idx] = lp.clone();
-                if pages_changed {
+            None => {
+                for (idx, lp) in &delta.layers {
                     self.page_prefix[*idx] = prefix_of(lp);
+                    self.input.layers[*idx] = lp.clone();
                 }
-                let new_tot = (
-                    self.page_prefix[*idx].last().copied().unwrap_or(0),
-                    lp.full_param_bytes,
-                    lp.working_set,
-                );
-                patches.push((*idx, old_tot, new_tot));
-                self.changed_layers[*idx] = pages_changed;
-                layers_touched += 1;
+                delta.layers.len()
             }
-        }
+        };
         if let Some(s) = &delta.steps {
             self.input.steps.clone_from(s);
         }
@@ -428,54 +385,16 @@ impl Planner {
         if let Some(p) = delta.page_size {
             self.input.page_size = p;
         }
-
-        // ---- Re-arm the timeline and redo the decision phases. ----
-        std::mem::swap(&mut self.moves, &mut self.prev_moves);
-        std::mem::swap(&mut self.readds, &mut self.prev_readds);
-        std::mem::swap(&mut self.gather, &mut self.prev_gather);
-        if full_reset {
-            self.timeline.reset(&self.input, true);
-        } else {
-            self.timeline.reset_reverting(&self.input, &patches);
-        }
+        self.timeline.reset(&self.input);
         self.plan_decisions();
-
-        // ---- Diff decisions → dirty triggers → patch the emission. ----
-        let n_steps = self.input.steps.len();
-        let diffable = !full_reset;
-        if diffable {
-            // `changed_layers` marks layers whose *emitted pages* changed;
-            // widen it with decision changes during the dirty walk, then
-            // derive `layers_reused` (untouched + unchanged decisions).
-            self.compute_dirty();
-        }
-        let (patched, in_place) = self.emit(diffable);
-        let mut reused = 0usize;
-        if diffable {
-            for (l, &changed) in self.changed_layers.iter().enumerate() {
-                let touched = if delta.replace_layers.is_some() {
-                    true
-                } else {
-                    replaced_at[l].is_some()
-                };
-                if !changed && !touched {
-                    reused += 1;
-                }
-            }
-        }
-        let outcome = ReplanOutcome {
-            layers_touched,
-            layers_reused: reused,
-            triggers_patched: patched,
-            triggers_total: n_steps,
-            patched_in_place: in_place,
-        };
+        self.emit();
+        let outcome = ReplanOutcome::from_scratch(layers_touched, self.input.steps.len());
         self.last_outcome = outcome;
         Ok(outcome)
     }
 
     /// The delta fast path: commit a pure working-set *increase* without
-    /// re-running any decision phase, or return `None` for the slow path.
+    /// re-running any decision phase, or return `None` to plan from scratch.
     ///
     /// Soundness (DESIGN.md §14): with steps, base load, budget, page size,
     /// shard pages and full bytes all unchanged, the only timeline values
@@ -499,9 +418,9 @@ impl Planner {
     ///   span keeps that stop point, and non-fired advances stay non-fired
     ///   because increases only move the blocking step later.
     ///
-    /// Decisions, task buffer, trigger layout and diff baselines are then
-    /// reused verbatim; only the live/baseline trees, the consumed margins
-    /// and the timeline-derived peak statistic are patched.
+    /// Decisions, task buffer and trigger layout are then reused verbatim;
+    /// only the timeline tree, the consumed margins and the timeline-derived
+    /// peak statistic are patched.
     fn try_slack_fast_path(&mut self, layers: &[(usize, LayerPlan)]) -> Option<ReplanOutcome> {
         // Certify every touched step before mutating anything.
         for (idx, lp) in layers {
@@ -512,7 +431,7 @@ impl Planner {
             {
                 return None;
             }
-            // Decreases take the slow path: margins only certify increases.
+            // Decreases plan from scratch: margins only certify increases.
             let d = lp.working_set.checked_sub(old.working_set)?;
             if d == 0 {
                 continue;
@@ -577,7 +496,6 @@ impl Planner {
             page_prefix,
             moves,
             readds,
-            gather,
             gathers_advanced,
             sched,
             wait,
@@ -747,126 +665,26 @@ impl Planner {
                 }
             }
         }
-        gather.clear();
-        gather.extend_from_slice(timeline.gather_triggers());
     }
 
-    /// Mark the triggers whose task slots differ from the previous plan and
-    /// widen `changed_layers` with every layer whose decisions moved.
-    fn compute_dirty(&mut self) {
-        let n_steps = self.input.steps.len();
-        self.dirty.clear();
-        self.dirty.resize(n_steps, false);
-        // Moves (all at trigger 0): merge-walk by layer.
-        {
-            let (mut a, mut b) = (0usize, 0usize);
-            while a < self.prev_moves.len() || b < self.moves.len() {
-                match (self.prev_moves.get(a), self.moves.get(b)) {
-                    (Some(x), Some(y)) if x.layer == y.layer => {
-                        if x != y || self.changed_layers[y.layer] {
-                            self.dirty[0] = true;
-                            self.changed_layers[y.layer] = true;
-                        }
-                        a += 1;
-                        b += 1;
-                    }
-                    (Some(x), Some(y)) => {
-                        self.dirty[0] = true;
-                        let l = if x.layer < y.layer {
-                            a += 1;
-                            x.layer
-                        } else {
-                            b += 1;
-                            y.layer
-                        };
-                        self.changed_layers[l] = true;
-                    }
-                    (Some(x), None) => {
-                        self.dirty[0] = true;
-                        self.changed_layers[x.layer] = true;
-                        a += 1;
-                    }
-                    (None, Some(y)) => {
-                        self.dirty[0] = true;
-                        self.changed_layers[y.layer] = true;
-                        b += 1;
-                    }
-                    (None, None) => break,
-                }
-            }
-        }
-        // Re-adds: group-compare by trigger (both lists trigger-sorted).
-        {
-            let (mut a, mut b) = (0usize, 0usize);
-            while a < self.prev_readds.len() || b < self.readds.len() {
-                let ta = self.prev_readds.get(a).map(|e| e.trigger);
-                let tb = self.readds.get(b).map(|e| e.trigger);
-                let t = match (ta, tb) {
-                    (Some(x), Some(y)) => x.min(y),
-                    (Some(x), None) => x,
-                    (None, Some(y)) => y,
-                    (None, None) => break,
-                };
-                let a2 = a + self.prev_readds[a..]
-                    .iter()
-                    .take_while(|e| e.trigger == t)
-                    .count();
-                let b2 = b + self.readds[b..]
-                    .iter()
-                    .take_while(|e| e.trigger == t)
-                    .count();
-                let (ga, gb) = (&self.prev_readds[a..a2], &self.readds[b..b2]);
-                if ga != gb {
-                    self.dirty[t] = true;
-                    for e in ga.iter().chain(gb) {
-                        self.changed_layers[e.layer] = true;
-                    }
-                } else if gb.iter().any(|e| self.changed_layers[e.layer]) {
-                    self.dirty[t] = true;
-                }
-                a = a2;
-                b = b2;
-            }
-        }
-        // Gathers: a moved trigger dirties both its old and new slot; an
-        // unmoved one only if the layer's page content changed.
-        for i in 0..n_steps {
-            let (g, pg) = (self.gather[i], self.prev_gather[i]);
-            if g != pg {
-                self.dirty[g] = true;
-                self.dirty[pg] = true;
-                self.changed_layers[self.input.steps[i].layer()] = true;
-            } else if self.changed_layers[self.input.steps[i].layer()] {
-                self.dirty[g] = true;
-            }
-        }
-    }
-
-    /// (Re)build the trigger-sorted task list and stats. With `diffed` the
-    /// dirty-trigger set drives a minimal re-emission: in-place slot patches
-    /// when the offset table is unchanged, otherwise a rebuild that memcpys
-    /// every clean slot from the previous task buffer. Returns
-    /// `(triggers re-emitted, patched in place)`.
-    fn emit(&mut self, diffed: bool) -> (usize, bool) {
+    /// Build the trigger-sorted task list, its offset table and the stats
+    /// from the current decisions.
+    fn emit(&mut self) {
         let Self {
             input,
             page_prefix,
             moves,
             readds,
-            gather,
             timeline,
             schedule,
-            scratch_tasks,
-            tmp_tasks,
             trig_off,
             trig_cur,
             trig_steps,
-            new_off,
-            dirty,
             gathers_advanced,
             ..
         } = self;
         let input = &*input;
+        let gather = timeline.gather_triggers();
         let n_steps = input.steps.len();
         // Counting sort of steps by gather trigger (ascending step within
         // each trigger — the emission interleave needs it).
@@ -885,27 +703,28 @@ impl Planner {
             trig_steps[trig_cur[g]] = i;
             trig_cur[g] += 1;
         }
-        // New offsets + byte/page stats in one O(runs + events + steps) pass.
-        new_off.clear();
-        new_off.resize(n_steps + 1, 0);
+        // Offsets + byte/page stats in one O(runs + events + steps) pass.
+        let offsets = &mut schedule.trigger_offsets;
+        offsets.clear();
+        offsets.resize(n_steps + 1, 0);
         let mut resident_pages = 0usize;
         let mut resident_bytes = 0u64;
         for r in moves.iter() {
-            new_off[1] += r.hi - r.lo;
+            offsets[1] += r.hi - r.lo;
             resident_pages += r.hi - r.lo;
             resident_bytes += page_prefix[r.layer][r.hi] - page_prefix[r.layer][r.lo];
         }
         for e in readds.iter() {
-            new_off[e.trigger + 1] += e.hi - e.lo;
+            offsets[e.trigger + 1] += e.hi - e.lo;
             resident_pages += e.hi - e.lo;
             resident_bytes += page_prefix[e.layer][e.hi] - page_prefix[e.layer][e.lo];
         }
         for (i, step) in input.steps.iter().enumerate() {
-            new_off[gather[i] + 1] += input.layers[step.layer()].shard_pages.len();
-            new_off[i + 1] += 1;
+            offsets[gather[i] + 1] += input.layers[step.layer()].shard_pages.len();
+            offsets[i + 1] += 1;
         }
         for i in 1..=n_steps {
-            new_off[i] += new_off[i - 1];
+            offsets[i] += offsets[i - 1];
         }
         let total_pages: usize = page_prefix.iter().map(|p| p.len() - 1).sum();
         let shard_bytes: u64 = page_prefix
@@ -913,37 +732,18 @@ impl Planner {
             .map(|p| p.last().copied().unwrap_or(0))
             .sum();
 
-        let mut patched = 0usize;
-        let in_place = diffed && *new_off == schedule.trigger_offsets;
-        if in_place {
-            for t in 0..n_steps {
-                if !dirty[t] {
-                    continue;
-                }
-                patched += 1;
-                tmp_tasks.clear();
-                emit_trigger(input, moves, readds, trig_off, trig_steps, t, tmp_tasks);
-                let range = new_off[t]..new_off[t + 1];
-                debug_assert_eq!(tmp_tasks.len(), range.len());
-                schedule.tasks[range].copy_from_slice(tmp_tasks);
-            }
-        } else {
-            scratch_tasks.clear();
-            scratch_tasks.reserve(new_off[n_steps]);
-            // `t` indexes `dirty`, both offset tables and the task buffer.
-            #[allow(clippy::needless_range_loop)]
-            for t in 0..n_steps {
-                if diffed && !dirty[t] {
-                    // Clean slot: verbatim from the previous buffer.
-                    let old = schedule.trigger_offsets[t]..schedule.trigger_offsets[t + 1];
-                    scratch_tasks.extend_from_slice(&schedule.tasks[old]);
-                } else {
-                    patched += 1;
-                    emit_trigger(input, moves, readds, trig_off, trig_steps, t, scratch_tasks);
-                }
-            }
-            std::mem::swap(&mut schedule.tasks, scratch_tasks);
-            schedule.trigger_offsets.clone_from(new_off);
+        schedule.tasks.clear();
+        schedule.tasks.reserve(offsets[n_steps]);
+        for t in 0..n_steps {
+            emit_trigger(
+                input,
+                moves,
+                readds,
+                trig_off,
+                trig_steps,
+                t,
+                &mut schedule.tasks,
+            );
         }
         schedule.num_steps = n_steps;
         schedule.stats = ScheduleStats {
@@ -957,7 +757,6 @@ impl Planner {
             },
             gathers_advanced: *gathers_advanced,
         };
-        (patched, in_place)
     }
 }
 
@@ -1110,7 +909,7 @@ mod tests {
     }
 
     fn assert_matches(p: &Planner) {
-        let full = match oracle::schedule(p.scheduler(), p.input()) {
+        let full = match oracle::schedule(&p.sched, p.input()) {
             Ok(s) => s,
             Err(e) => panic!("oracle rejected a planner-accepted input: {e}"),
         };
@@ -1162,11 +961,11 @@ mod tests {
         assert_eq!(out.triggers_patched, 0);
         assert_eq!(out.layers_reused, 3);
         assert_matches(&p);
-        // The patched trees must agree with the baseline across a following
-        // slow-path replan (reset_reverting diffs against the new input) …
+        // The patched session must stay coherent across a following
+        // from-scratch replan …
         p.replan(&ReplanDelta::capacity(120)).unwrap();
         assert_matches(&p);
-        // … and a decrease (slow path by construction) still matches.
+        // … and a decrease (from scratch by construction) still matches.
         let mut lp = p.input().layers[1].clone();
         lp.working_set -= 2;
         p.replan(&ReplanDelta::layer(1, lp)).unwrap();
@@ -1343,7 +1142,7 @@ mod proptests {
         /// Base-load change (None clears it).
         Base(Option<u64>),
         /// Pure working-set increase on one layer — the shape the slack
-        /// fast path certifies; falls back to the slow path when the
+        /// fast path certifies; falls back to a from-scratch plan when the
         /// recorded margins are too tight, so both paths get hit.
         WsBump { raw: usize, d: u64 },
         /// Elastic resize: wholesale layer replacement, possibly changing
@@ -1528,7 +1327,7 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
         /// Random mutation sequences (outage / permanent / resize deltas):
-        /// after every accepted delta the incremental schedule is
+        /// after every accepted delta the replanned schedule is
         /// byte-identical to the oracle's plan of the mutated input, and a
         /// rejected delta leaves the session byte-identical to the oracle's
         /// plan of the previous input.

@@ -38,7 +38,7 @@
 //! two phases and the task emission is [`crate::replan::Planner`], which
 //! batches whole same-layer page runs into single range updates for an
 //! overall O((pages + steps)·log steps) plan and keeps its decisions alive
-//! for incremental replanning; [`UnifiedScheduler::schedule`] is a
+//! for the replan fast path; [`UnifiedScheduler::schedule`] is a
 //! from-scratch `Planner` session. The original per-page / per-step
 //! planner is retained verbatim in `oracle` (test and `verify-extras`
 //! builds only) as the independent reference the proptests prove
@@ -113,12 +113,6 @@ impl LayerPlan {
         self.shard_pages.iter().sum()
     }
 }
-
-/// A [`LayerPlan`]'s byte totals as a `(shard, full, working_set)` triple.
-pub(crate) type LayerTotals = (u64, u64, u64);
-
-/// One timeline revert patch: `(layer, old totals, new totals)`.
-pub(crate) type LayerPatch = (usize, LayerTotals, LayerTotals);
 
 /// Scheduler input: the model plan, the compute-step list, the GPU byte
 /// budget available to model states, and the page size.
@@ -220,19 +214,14 @@ impl Default for UnifiedScheduler {
 /// resident shard bytes live at step `j` + gathered-buffer extras whose
 /// span covers `j` + step `j`'s working set.
 ///
-/// The state owns every buffer (no borrow of the input) so the incremental
-/// replanner (`crate::replan`) can keep one timeline alive across plans and
-/// re-arm it with [`TimelineState::reset`] — reusing the tree nodes and all
+/// The state owns every buffer (no borrow of the input) so the replanner
+/// (`crate::replan`) can keep one timeline alive across plans and re-arm it
+/// with [`TimelineState::reset`] — reusing the tree nodes and all
 /// per-layer vectors instead of reallocating them each call. Methods that
 /// need the model take `&SchedulerInput` explicitly; callers must pass the
 /// same input the state was last reset with.
 pub(crate) struct TimelineState {
     mem: RangeAddMax,
-    /// Snapshot of `mem` as of the last reset, *before* any decision was
-    /// applied — the revert point for [`TimelineState::reset_reverting`].
-    mem_base: RangeAddMax,
-    /// Pristine per-layer shard bytes matching `mem_base`.
-    resident0_base: Vec<u64>,
     /// Scratch: the initial per-step totals the tree is (re)built from.
     mem0: Vec<u64>,
     /// Scratch: difference array for the resident-shard fill.
@@ -260,8 +249,6 @@ impl TimelineState {
     pub(crate) fn new(input: &SchedulerInput) -> Self {
         let mut state = Self {
             mem: RangeAddMax::from_values(&[]),
-            mem_base: RangeAddMax::from_values(&[]),
-            resident0_base: Vec::new(),
             mem0: Vec::new(),
             diff: Vec::new(),
             resident0: Vec::new(),
@@ -272,38 +259,33 @@ impl TimelineState {
             own_bits: Vec::new(),
             words: 0,
         };
-        state.reset(input, true);
+        state.reset(input);
         state
     }
 
-    /// Re-arm for a fresh plan over `input`, reusing every allocation. The
-    /// step-derived structures (per-layer step lists, bitmaps, last uses)
-    /// are only rebuilt when `steps_changed` says the step list differs from
-    /// the previous reset — layer/budget deltas skip that entire pass.
-    pub(crate) fn reset(&mut self, input: &SchedulerInput, steps_changed: bool) {
+    /// Re-arm for a fresh plan over `input`, reusing every allocation.
+    pub(crate) fn reset(&mut self, input: &SchedulerInput) {
         let n_steps = input.steps.len();
         let n_layers = input.layers.len();
-        if steps_changed || self.steps_of_layer.len() != n_layers || self.words == 0 {
-            self.words = n_steps.div_ceil(64);
-            for v in &mut self.steps_of_layer {
-                v.clear();
-            }
-            self.steps_of_layer.resize_with(n_layers, Vec::new);
-            self.own_bits.clear();
-            self.own_bits.resize(n_layers * self.words, 0);
-            for (j, s) in input.steps.iter().enumerate() {
-                let l = s.layer();
-                self.steps_of_layer[l].push(j);
-                self.own_bits[l * self.words + j / 64] |= 1 << (j % 64);
-            }
-            self.last_use.clear();
-            self.last_use
-                .extend(self.steps_of_layer.iter().map(|v| match v.last() {
-                    Some(&j) => j,
-                    // The trace emits at least a forward step per layer.
-                    None => unreachable!("layer with no steps in the trace"),
-                }));
+        self.words = n_steps.div_ceil(64);
+        for v in &mut self.steps_of_layer {
+            v.clear();
         }
+        self.steps_of_layer.resize_with(n_layers, Vec::new);
+        self.own_bits.clear();
+        self.own_bits.resize(n_layers * self.words, 0);
+        for (j, s) in input.steps.iter().enumerate() {
+            let l = s.layer();
+            self.steps_of_layer[l].push(j);
+            self.own_bits[l * self.words + j / 64] |= 1 << (j % 64);
+        }
+        self.last_use.clear();
+        self.last_use
+            .extend(self.steps_of_layer.iter().map(|v| match v.last() {
+                Some(&j) => j,
+                // The trace emits at least a forward step per layer.
+                None => unreachable!("layer with no steps in the trace"),
+            }));
         self.resident0.clear();
         self.resident0
             .extend(input.layers.iter().map(|l| l.shard_bytes()));
@@ -336,48 +318,12 @@ impl TimelineState {
             }
         }
         self.mem.reset_from_values(&self.mem0);
-        self.mem_base.restore_from(&self.mem);
-        self.resident0_base.clone_from(&self.resident0);
         for v in &mut self.resched_cum {
             v.clear();
         }
         self.resched_cum.resize_with(n_layers, Vec::new);
         self.gather_trigger.clear();
         self.gather_trigger.extend(0..n_steps);
-    }
-
-    /// Re-arm by *range-revert* instead of rebuild — valid only when the
-    /// step list, layer count and base load are unchanged since the last
-    /// reset. The byte deltas of the touched layers are applied to the
-    /// baseline tree as O(log steps) range patches, then the live tree
-    /// reverts to that baseline with one `restore_from` memcpy: untouched
-    /// layers' timeline contributions come back verbatim, nothing is
-    /// recomputed per-page or per-step.
-    ///
-    /// Each patch is `(layer, old LayerPlan totals, new LayerPlan totals)`
-    /// as `(shard, full, working_set)` byte triples.
-    pub(crate) fn reset_reverting(&mut self, input: &SchedulerInput, patches: &[LayerPatch]) {
-        for &(l, (old_shard, old_full, old_ws), (new_shard, new_full, new_ws)) in patches {
-            let lu = self.last_use[l];
-            let d_res = new_shard as i64 - old_shard as i64;
-            self.mem_base.add(0, lu, d_res);
-            let old_extra = old_ws + old_full.saturating_sub(old_shard);
-            let new_extra = new_ws + new_full.saturating_sub(new_shard);
-            let d_extra = new_extra as i64 - old_extra as i64;
-            if d_extra != 0 {
-                for &s in &self.steps_of_layer[l] {
-                    self.mem_base.add(s, s, d_extra);
-                }
-            }
-            self.resident0_base[l] = new_shard;
-        }
-        self.mem.restore_from(&self.mem_base);
-        self.resident0.clone_from(&self.resident0_base);
-        for v in &mut self.resched_cum {
-            v.clear();
-        }
-        self.gather_trigger.clear();
-        self.gather_trigger.extend(0..input.steps.len());
     }
 
     /// Whether step `j` computes layer `l` (O(1) bitmap lookup).
@@ -391,15 +337,11 @@ impl TimelineState {
     }
 
     /// Grow the planned total at layer `l`'s own compute steps by `d` bytes
-    /// on *both* the live tree and the reset baseline — the replanner's
-    /// slack fast path committing a working-set-only increase without
-    /// re-running decisions. Patching `mem_base` too keeps the next
-    /// [`Self::reset_reverting`] diffing against the input this timeline
-    /// now reflects.
+    /// — the replanner's slack fast path committing a working-set-only
+    /// increase without re-running decisions.
     pub(crate) fn nudge_own_steps(&mut self, l: usize, d: u64) {
         for &s in &self.steps_of_layer[l] {
             self.mem.add(s, s, d as i64);
-            self.mem_base.add(s, s, d as i64);
         }
     }
 
@@ -559,7 +501,7 @@ impl UnifiedScheduler {
 /// independent correctness oracle: per-page O(steps) timeline updates,
 /// linear `resident()` scans, `contains`-based fit checks and a comparison
 /// sort. It shares no decision code with [`crate::replan::Planner`]; the
-/// scheduler and replan proptests prove every from-scratch and incremental
+/// scheduler and replan proptests prove every from-scratch and replanned
 /// plan byte-identical to it, and the `planning_cost` binary records the
 /// speedup in `BENCH_plan.json`. Compiled only for tests and under the
 /// `verify-extras` feature (the bench crate enables it), so it cannot land

@@ -1,8 +1,8 @@
 //! The control plane: a deterministic discrete-event scheduler over the
 //! shared cluster's virtual timeline.
 //!
-//! Jobs are planned at submission (through the engine's staged pipeline and
-//! the incremental planner behind it), admitted only under a verifier
+//! Jobs are planned at submission (through the engine's staged pipeline),
+//! admitted only under a verifier
 //! certificate ([`crate::admission`]), and then time-share the cluster as
 //! disjoint server slices. All scheduling actions — admission, preemption,
 //! shrink/grow, resume — happen at **iteration boundaries**, implemented as
@@ -15,7 +15,8 @@
 //! * a preemption first *shrinks* the victim toward `min_servers` (it keeps
 //!   training, smaller), and suspends it entirely only when shrinking
 //!   cannot free enough — a suspended job's engine is parked, not
-//!   destroyed, so resuming costs one splice, not a fresh plan;
+//!   destroyed, so resuming costs one splice (a from-scratch plan at the
+//!   new size), not a new engine;
 //! * freed capacity is handed out in strict priority order across parked
 //!   and queued jobs together (no backfill: a blocked head-of-line
 //!   candidate accumulates capacity rather than letting a lower-priority

@@ -362,7 +362,6 @@ impl ExecutionReport {
 pub struct Simulation {
     resources: Resources,
     tasks: Vec<SimTask>,
-    faults: Vec<FaultEvent>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -392,28 +391,11 @@ impl Simulation {
         Self {
             resources,
             tasks: Vec::new(),
-            faults: Vec::new(),
         }
     }
 
     pub fn resources(&self) -> &Resources {
         &self.resources
-    }
-
-    /// Schedule a resource fault for the next [`Self::run`].
-    pub fn inject_fault(&mut self, fault: FaultEvent) {
-        assert!(
-            fault.resource.0 < self.resources.num_resources(),
-            "unknown resource"
-        );
-        self.faults.push(fault);
-    }
-
-    /// Faults scheduled for the next [`Self::run`] — callers that verify
-    /// executed graphs (e.g. debug-build plan verification) use this to
-    /// skip coverage assertions that only hold on fault-free runs.
-    pub fn faults(&self) -> &[FaultEvent] {
-        &self.faults
     }
 
     /// Submit a task; returns its index for use in later `deps`.
@@ -461,6 +443,18 @@ impl Simulation {
     /// dependencies completed. This mirrors CUDA stream semantics: a stream
     /// blocks on its head task's events, it never reorders.
     pub fn run(&self) -> ExecutionReport {
+        self.run_with_faults(&[])
+    }
+
+    /// [`Self::run`] with resource faults firing during the run. The graph
+    /// itself is unchanged, so one graph can run with and without faults.
+    pub fn run_with_faults(&self, faults: &[FaultEvent]) -> ExecutionReport {
+        for f in faults {
+            assert!(
+                f.resource.0 < self.resources.num_resources(),
+                "unknown resource"
+            );
+        }
         let n = self.tasks.len();
         let nr = self.resources.num_resources();
         let nm = self.resources.num_mem_domains();
@@ -495,7 +489,7 @@ impl Simulation {
         // end) and the earliest permanent-death time.
         let mut outages: Vec<Vec<(Ns, Ns)>> = vec![Vec::new(); nr];
         let mut dead_at: Vec<Option<Ns>> = vec![None; nr];
-        for f in &self.faults {
+        for f in faults {
             match f.kind {
                 FaultKind::Outage { duration } => {
                     outages[f.resource.0].push((f.at, f.at.saturating_add(duration)));
@@ -664,7 +658,7 @@ impl Simulation {
 
         // Without faults an incomplete run is a schedule bug; with faults it
         // is the expected outcome, reported in `failed_tasks`.
-        if self.faults.is_empty() {
+        if faults.is_empty() {
             assert_eq!(
                 completed,
                 n,
@@ -888,12 +882,11 @@ mod tests {
         sim.submit(SimTask::new(gpu, Work::Duration(100)));
         sim.submit(SimTask::new(gpu, Work::Duration(50)));
         // Resource down [100, 400): the second task defers to t=400.
-        sim.inject_fault(FaultEvent {
+        let rep = sim.run_with_faults(&[FaultEvent {
             resource: gpu,
             at: 100,
             kind: FaultKind::Outage { duration: 300 },
-        });
-        let rep = sim.run();
+        }]);
         assert_eq!(rep.start_times[1], 400);
         assert_eq!(rep.makespan, 450);
         assert!(rep.failed_tasks.is_empty());
@@ -905,12 +898,11 @@ mod tests {
         let mut sim = Simulation::new(r);
         sim.submit(SimTask::new(gpu, Work::Duration(100)));
         // Down [30, 70): the task is paused for 40 ns mid-flight.
-        sim.inject_fault(FaultEvent {
+        let rep = sim.run_with_faults(&[FaultEvent {
             resource: gpu,
             at: 30,
             kind: FaultKind::Outage { duration: 40 },
-        });
-        let rep = sim.run();
+        }]);
         assert_eq!(rep.finish_times[0], 140);
     }
 
@@ -920,14 +912,12 @@ mod tests {
         let mut sim = Simulation::new(r);
         sim.submit(SimTask::new(gpu, Work::Duration(100)));
         // [10, 50) and [30, 80) overlap: union downtime is 70, not 90.
-        for (at, duration) in [(10, 40), (30, 50)] {
-            sim.inject_fault(FaultEvent {
-                resource: gpu,
-                at,
-                kind: FaultKind::Outage { duration },
-            });
-        }
-        let rep = sim.run();
+        let faults = [(10, 40), (30, 50)].map(|(at, duration)| FaultEvent {
+            resource: gpu,
+            at,
+            kind: FaultKind::Outage { duration },
+        });
+        let rep = sim.run_with_faults(&faults);
         assert_eq!(rep.finish_times[0], 170);
     }
 
@@ -938,14 +928,12 @@ mod tests {
         sim.submit(SimTask::new(gpu, Work::Duration(100)));
         // The second window [120, 150) only overlaps because the first
         // stall pushed the finish from 100 past 120.
-        for (at, duration) in [(50, 60), (120, 30)] {
-            sim.inject_fault(FaultEvent {
-                resource: gpu,
-                at,
-                kind: FaultKind::Outage { duration },
-            });
-        }
-        let rep = sim.run();
+        let faults = [(50, 60), (120, 30)].map(|(at, duration)| FaultEvent {
+            resource: gpu,
+            at,
+            kind: FaultKind::Outage { duration },
+        });
+        let rep = sim.run_with_faults(&faults);
         assert_eq!(rep.finish_times[0], 100 + 60 + 30);
     }
 
@@ -967,12 +955,11 @@ mod tests {
         let t2 = sim.submit(SimTask::new(other, Work::Duration(10)));
         // Depends on the killed task: can never run, even on a live resource.
         let t3 = sim.submit(SimTask::new(other, Work::Duration(10)).with_deps([t0]));
-        sim.inject_fault(FaultEvent {
+        let rep = sim.run_with_faults(&[FaultEvent {
             resource: gpu,
             at: 50,
             kind: FaultKind::Permanent,
-        });
-        let rep = sim.run();
+        }]);
         assert_eq!(rep.failed_tasks, vec![t0, t1, t3]);
         // The killed task never released what it had acquired.
         assert_eq!(rep.final_mem[dom.0], 64);
@@ -987,12 +974,11 @@ mod tests {
         let mut sim = Simulation::new(r);
         sim.submit(SimTask::new(gpu, Work::Duration(10)));
         sim.submit(SimTask::new(gpu, Work::Duration(10)));
-        sim.inject_fault(FaultEvent {
+        let rep = sim.run_with_faults(&[FaultEvent {
             resource: gpu,
             at: 0,
             kind: FaultKind::Permanent,
-        });
-        let rep = sim.run();
+        }]);
         assert_eq!(rep.failed_tasks, vec![0, 1]);
         assert_eq!(rep.makespan, 0);
     }

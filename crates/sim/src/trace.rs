@@ -246,12 +246,11 @@ mod tests {
                 .with_deps([a])
                 .with_label("killed"),
         );
-        sim.inject_fault(FaultEvent {
+        let report = sim.run_with_faults(&[FaultEvent {
             resource: gpu,
             at: 2_000,
             kind: FaultKind::Permanent,
-        });
-        let report = sim.run();
+        }]);
         assert!(!report.failed_tasks.is_empty());
         let parsed = trace_json(&sim, &report);
         for e in parsed["traceEvents"].as_array().unwrap() {

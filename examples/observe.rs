@@ -66,11 +66,10 @@ fn main() {
         )
         .expect("online replanning run completes");
     println!(
-        "online: {} splice(s), replan {:.2} ms, {} of {} layers reused",
+        "online: {} splice(s), replan {:.2} ms, {} layers planned from scratch",
         online.splices.len(),
         online.splices[0].replan_ns as f64 / 1e6,
-        online.splices[0].outcome.layers_reused,
-        online.splices[0].outcome.layers_reused + online.splices[0].outcome.layers_touched,
+        online.splices[0].outcome.layers_touched,
     );
 
     // ---- Runtime side: Algorithm 2 on real OS threads --------------------

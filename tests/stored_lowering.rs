@@ -1,11 +1,10 @@
 //! The engine lowers once per schedule and keeps that `LoweredIteration`.
 //!
 //! These tests pin the two ways a stored lowering can go wrong: a fault
-//! injected into one iteration leaking into the stored graph (so every
-//! later iteration replays it), and a splice that replaces the schedule
-//! without rebuilding the graph (so later iterations keep running the old
-//! plan). Every check compares against a fresh engine, which lowers its
-//! schedule from scratch.
+//! of one iteration outliving it (so every later iteration replays it),
+//! and a splice that replaces the schedule without rebuilding the graph
+//! (so later iterations keep running the old plan). Every check compares
+//! against a fresh engine, which lowers its schedule from scratch.
 
 use angel_core::plan::{ParallelismPlan, ZeroStage};
 use angel_core::{ClusterEvent, Engine, EngineConfig, FaultTarget};
@@ -113,7 +112,6 @@ fn faults_on_the_last_iteration_leave_the_stored_lowering_clean() {
         assert!(r.splices.is_empty(), "{fault:?}: no boundary follows");
         assert_eq!(r.per_iter[0], quiet, "{fault:?}: quiet iteration");
         assert_ne!(r.per_iter[1], quiet, "{fault:?}: the fault must bite");
-        assert!(e.lowered().sim.faults().is_empty(), "{fault:?}");
         assert_eq!(signature(&e), before, "{fault:?}");
         assert_eq!(e.train_iteration(), quiet, "{fault:?}: next iteration");
     }
@@ -151,7 +149,6 @@ fn every_splice_kind_rebuilds_the_lowering() {
     for (what, ev) in splices {
         let r = e.run_online(2, &[ev]).unwrap();
         assert_eq!(r.splices.len(), 1, "{what}");
-        assert!(e.lowered().sim.faults().is_empty(), "{what}");
         // Each splice changes the plan, so a stale lowering cannot pass
         // for the rebuilt one.
         let now = signature(&e);
