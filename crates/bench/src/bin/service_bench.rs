@@ -224,9 +224,10 @@ fn main() {
         acc.admitted, acc.max_concurrent, acc.preemptions, acc.resumes, obs_events,
     ));
     table.note(
-        "Whale submissions are rejected at admission time: the verifier's provable \
-         peak-memory bound exceeds every slice's GPU budget, so they never occupy \
-         the queue (typed RejectReason in the event stream).",
+        "Whale submissions are rejected at admission time: the engine's closed-form \
+         capacity precheck proves their states cannot fit any slice's CPU page pool, \
+         so they are never planned and never occupy the queue (typed RejectReason in \
+         the event stream).",
     );
     table.emit();
 

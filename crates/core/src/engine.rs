@@ -8,8 +8,11 @@
 //! ```
 //!
 //! [`Engine::initialize`] composes the staged planning pipeline in
-//! [`crate::plan`] — Trace → Shard → Place → Schedule → Lower:
+//! [`crate::plan`] — Trace → Shard → Place → Schedule → Lower — behind a
+//! closed-form capacity check; every splice runs the same pipeline:
 //!
+//! 0. [`MemoryPlan::precheck`]: reject, in O(1), a model whose states
+//!    cannot fit the CPU page pool under any schedule, before tracing;
 //! 1. [`TracePlan`]: run the [`crate::Tracer`] over one symbolic iteration;
 //! 2. [`ShardPlan`]: ZeRO/expert-parallel byte accounting → scheduler input;
 //! 3. [`MemoryPlan`]: tier budgets, the Section 4.1/4.2 placement heuristic
@@ -142,8 +145,8 @@ pub struct SpliceReport {
     pub at_iter: usize,
     /// Cluster size (servers) after the splice.
     pub servers: usize,
-    /// Wall-clock nanoseconds of the full replan (trace → shard → place →
-    /// schedule → materialize).
+    /// Wall-clock nanoseconds of the full replan: the capacity precheck,
+    /// then trace → shard → memory → schedule → place → materialize.
     pub replan_ns: u64,
     /// What the replan reused: a splice plans from scratch, so every layer
     /// is touched, none is reused and every trigger slot is emitted.
@@ -234,15 +237,30 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Initialize training: Trace → Shard → Place → Schedule, then
-    /// materialize the placement and lower the schedule.
+    /// Initialize training: the capacity precheck, then Trace → Shard →
+    /// Place → Schedule, then materialize the placement and lower the
+    /// schedule.
     pub fn initialize(model: &TransformerConfig, config: &EngineConfig) -> Result<Self> {
+        Self::plan(model, config, "engine iteration lowering").map(|(engine, _)| engine)
+    }
+
+    /// The planning pipeline behind [`Engine::initialize`] and every
+    /// splice. [`MemoryPlan::precheck`] first rejects, in O(1), a model
+    /// that cannot fit; then trace → shard → memory → schedule → place →
+    /// materialize, and the schedule is lowered (`what` names the lowering
+    /// in debug-verify failures). Returns the engine, with a disabled
+    /// recorder and `config.gpu_reserved` as its baseline reservation, and
+    /// the wall-clock nanoseconds of the precheck through materialize.
+    fn plan(model: &TransformerConfig, config: &EngineConfig, what: &str) -> Result<(Self, u64)> {
+        let t0 = std::time::Instant::now();
+        MemoryPlan::precheck(model, config)?;
         let traced = TracePlan::build(model, config)?;
         let shard = ShardPlan::build(model, config, &traced);
         let mem = MemoryPlan::build(config, &shard)?;
         let planned = SchedulePlan::build(config, &shard, &mem, &traced.zero)?;
         let placed = mem.place(config, &shard, &planned)?;
         let allocator = mem.materialize(config, model.layers, &placed)?;
+        let plan_ns = saturating_ns(t0.elapsed().as_nanos()).max(1);
         let lowered = Self::lower(
             &ScheduleLowering {
                 model,
@@ -253,10 +271,9 @@ impl Engine {
                 zero: &traced.zero,
                 layer_comm_bytes: &shard.layer_comm_bytes,
             },
-            "engine iteration lowering",
+            what,
         );
-
-        Ok(Self {
+        let engine = Self {
             model: model.clone(),
             config: config.clone(),
             trace: traced.trace,
@@ -267,7 +284,8 @@ impl Engine {
             recorder: Recorder::disabled(),
             baseline_gpu_reserved: config.gpu_reserved,
             lowered,
-        })
+        };
+        Ok((engine, plan_ns))
     }
 
     /// Attach an observability recorder to the engine *and* its page
@@ -686,45 +704,21 @@ impl Engine {
             ));
         }
         let wall_start = self.recorder.now_ns();
-        let t0 = std::time::Instant::now();
         let mut config = self.config.clone();
         config.cluster = config.cluster.resized(servers);
         config.gpu_reserved = gpu_reserved;
         config.parallelism = config.parallelism.refit(config.cluster.total_gpus())?;
-        let traced = TracePlan::build(&self.model, &config)?;
-        let shard = ShardPlan::build(&self.model, &config, &traced);
-        let mem = MemoryPlan::build(&config, &shard)?;
-        let planned = SchedulePlan::build(&config, &shard, &mem, &traced.zero)?;
-        let placed = mem.place(&config, &shard, &planned)?;
-        let allocator = mem.materialize(&config, self.model.layers, &placed)?;
-        let replan_ns = saturating_ns(t0.elapsed().as_nanos()).max(1);
-        let lowered = Self::lower(
-            &ScheduleLowering {
-                model: &self.model,
-                config: &config,
-                schedule: &planned.schedule,
-                placement: placed.placement,
-                cache_plan: planned.cache_plan,
-                zero: &traced.zero,
-                layer_comm_bytes: &shard.layer_comm_bytes,
-            },
-            "spliced iteration lowering",
+        let (mut spliced, replan_ns) =
+            Self::plan(&self.model, &config, "spliced iteration lowering")?;
+        let outcome = ReplanOutcome::from_scratch(
+            config.parallelism.stage_layers(self.model.layers),
+            spliced.schedule.num_steps,
         );
 
-        let outcome =
-            ReplanOutcome::from_scratch(shard.input.layers.len(), planned.schedule.num_steps);
-
         // Commit the spliced plan.
-        self.lowered = lowered;
-        self.config = config;
-        self.trace = traced.trace;
-        self.schedule = planned.schedule;
-        self.placement = placed.placement;
-        self.cache_plan = planned.cache_plan;
-        self.allocator = allocator;
-        if self.recorder.is_enabled() {
-            self.allocator.set_recorder(self.recorder.clone());
-        }
+        spliced.baseline_gpu_reserved = self.baseline_gpu_reserved;
+        spliced.set_recorder(self.recorder.clone());
+        *self = spliced;
 
         let rec = &self.recorder;
         rec.counter("plan.replans").inc();

@@ -145,7 +145,10 @@ pub enum Error {
     /// overflow `tier`, which needed `needed_bytes` but holds only
     /// `available_bytes`. `usable_bytes` is the whole hierarchy's usable
     /// capacity (GPU + CPU pool + SSD, all ranks) for context; a model can
-    /// overflow one tier while far below it.
+    /// overflow one tier while far below it. When the closed-form capacity
+    /// precheck ([`crate::MemoryPlan::precheck`]) rejects the model before
+    /// any schedule exists, `needed_bytes` is a lower bound: the CPU-pool
+    /// need with the GPU holding as much as any schedule could let it.
     ModelTooLarge {
         state_bytes: u64,
         usable_bytes: u64,

@@ -9,7 +9,9 @@
 //! GPU cache on CPU, FP32 states spilling to SSD when enabled — and
 //! enforces the capacity invariant. [`MemoryPlan::materialize`] commits the
 //! placement to a real [`PageAllocator`] so every page-accounting invariant
-//! is enforced, not assumed.
+//! is enforced, not assumed. [`MemoryPlan::precheck`] evaluates the same
+//! capacity invariant in closed form from the model and config alone, so
+//! the engine rejects a plan that cannot fit before it traces or shards.
 //!
 //! Every capacity rejection goes through [`MemoryPlan::too_large`], which
 //! names the tier that overflowed with its needed and available bytes, and
@@ -21,10 +23,12 @@ use crate::config::EngineConfig;
 use crate::error::{CapacityTier, Error, Result};
 use crate::tensor::DType;
 use angel_hw::DeviceId;
+use angel_model::{layer_inventory, TensorClass, TransformerConfig};
 use serde::{Deserialize, Serialize};
 
 use super::schedule::SchedulePlan;
-use super::shard::ShardPlan;
+use super::shard::{RankTotals, ShardPlan};
+use super::trace::TracePlan;
 
 /// Where this rank's model-state bytes ended up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,17 +76,23 @@ pub struct PlacementPlan {
 
 impl MemoryPlan {
     /// Fix the tier budgets for one representative rank.
+    pub fn build(config: &EngineConfig, shard: &ShardPlan) -> Result<Self> {
+        Self::budgets(config, &shard.totals)
+    }
+
+    /// The tier budgets of a rank with `totals`, for [`MemoryPlan::build`]
+    /// and [`MemoryPlan::precheck`] alike.
     ///
     /// Lock-free mode pins the Algorithm 2 FP16 buffers (p'₁₆ + g'₁₆,
     /// 4 bytes/param) as two flat host arrays outside the page pool; the
     /// pool then manages the remaining host memory. The buffers may use at
     /// most 60% of physical RAM (beyond that the host cannot also run the
     /// dataloader and the pool).
-    pub fn build(config: &EngineConfig, shard: &ShardPlan) -> Result<Self> {
+    fn budgets(config: &EngineConfig, totals: &RankTotals) -> Result<Self> {
         let gpus_per_server = config.cluster.server.num_gpus() as u64;
         let host_physical = config.cluster.server.cpu.capacity;
         let buffers_per_server = if config.lock_free {
-            shard.rank_params * 4 * gpus_per_server
+            totals.rank_params * 4 * gpus_per_server
         } else {
             0
         };
@@ -100,13 +110,48 @@ impl MemoryPlan {
         let buffer_cap = (host_physical as f64 * 0.60) as u64;
         if buffers_per_server > buffer_cap {
             return Err(plan.too_large(
-                shard.state_bytes,
+                totals.state_bytes,
                 CapacityTier::PinnedBuffers,
                 buffers_per_server,
                 buffer_cap,
             ));
         }
         Ok(plan)
+    }
+
+    /// Reject, in O(1), a plan that the full pipeline would reject at
+    /// [`MemoryPlan::place`], before anything is traced or sharded.
+    ///
+    /// Needs only `(model, config)`. It makes the checks of the pipeline
+    /// in the pipeline's order: the parallelism plan
+    /// ([`TracePlan::validate`]), the tier budgets with their pinned-buffer
+    /// cap, then `place`'s CPU-pool condition with each schedule-dependent
+    /// term replaced by a sound bound:
+    ///
+    /// * the GPU cache holds at most the cache of a zero-peak schedule
+    ///   ([`SchedulePlan::cache_plan`] never grows with the peak), so the
+    ///   optimizer bytes left for the SSD and the CPU are at least the rest;
+    /// * at least 0 FP16 bytes spill to the CPU.
+    ///
+    /// The CPU-pool need only grows as the GPU holds less, so if the bound
+    /// already overflows the pool, every schedule's placement overflows it
+    /// too. That rejection is raised only when no step can fail first:
+    /// [`step_need_bound`] bounds every step's working-set need from above,
+    /// and when it fits the GPU budget Algorithm 1 cannot raise
+    /// [`Error::WorkingSetTooLarge`], so the pipeline would reach `place`
+    /// and fail there with the same tier. Otherwise the precheck passes and
+    /// the pipeline decides. A rejection here reports the bound as its
+    /// `needed_bytes`: a lower bound on what `place` would report.
+    pub fn precheck(model: &TransformerConfig, config: &EngineConfig) -> Result<()> {
+        TracePlan::validate(model, config)?;
+        let totals = RankTotals::new(model, &config.parallelism);
+        let mem = Self::budgets(config, &totals)?;
+        let cache_bound =
+            SchedulePlan::cache_plan(config, mem.gpu_budget, 0, totals.rank_optim).cache_bytes;
+        match mem.spill(config, &totals, cache_bound, totals.rank_p16g16) {
+            Err(e) if step_need_bound(model, config) <= mem.gpu_budget => Err(e),
+            _ => Ok(()),
+        }
     }
 
     /// Total usable bytes across the memory hierarchy, all ranks: the
@@ -147,8 +192,27 @@ impl MemoryPlan {
         shard: &ShardPlan,
         planned: &SchedulePlan,
     ) -> Result<PlacementPlan> {
-        let optim_on_gpu = planned.cache_plan.cache_bytes;
-        let optim_rest = shard.rank_optim - optim_on_gpu;
+        self.spill(
+            config,
+            &shard.totals,
+            planned.cache_plan.cache_bytes,
+            planned.resident_param_bytes,
+        )
+    }
+
+    /// The placement when the GPU holds `optim_on_gpu` optimizer bytes and
+    /// `p16_on_gpu` FP16 bytes, and the CPU-pool capacity check on it: the
+    /// one formula behind [`MemoryPlan::place`] (the schedule's actual
+    /// terms) and [`MemoryPlan::precheck`] (their bounds). The CPU-pool
+    /// need never grows with either GPU term.
+    fn spill(
+        &self,
+        config: &EngineConfig,
+        totals: &RankTotals,
+        optim_on_gpu: u64,
+        p16_on_gpu: u64,
+    ) -> Result<PlacementPlan> {
+        let optim_rest = totals.rank_optim - optim_on_gpu;
         let (optim_ssd, optim_cpu) = if config.use_ssd {
             (
                 optim_rest.min(self.rank_ssd_pool),
@@ -160,14 +224,12 @@ impl MemoryPlan {
         let p16_cpu = if config.lock_free {
             0
         } else {
-            shard
-                .rank_p16g16
-                .saturating_sub(planned.resident_param_bytes)
+            totals.rank_p16g16.saturating_sub(p16_on_gpu)
         };
         let cpu_needed = optim_cpu + p16_cpu;
         if cpu_needed > self.rank_cpu_pool {
             return Err(self.too_large(
-                shard.state_bytes,
+                totals.state_bytes,
                 CapacityTier::CpuPool,
                 cpu_needed,
                 self.rank_cpu_pool,
@@ -175,10 +237,10 @@ impl MemoryPlan {
         }
         Ok(PlacementPlan {
             placement: Placement {
-                gpu_bytes: planned.resident_param_bytes + optim_on_gpu,
+                gpu_bytes: p16_on_gpu + optim_on_gpu,
                 cpu_bytes: cpu_needed,
                 ssd_bytes: optim_ssd,
-                rank_state_bytes: shard.rank_state_bytes,
+                rank_state_bytes: totals.rank_state_bytes,
             },
             p16_cpu,
             optim_cpu,
@@ -234,6 +296,37 @@ impl MemoryPlan {
         }
         Ok(allocator)
     }
+}
+
+/// An upper bound on the GPU bytes any step of the schedule needs alone:
+/// the largest layer's FP16 parameters, FP16 gradients and activations,
+/// plus, without recomputation, the activations every other layer keeps
+/// live. Every scheduler input ([`ShardPlan`]'s dense, mesh and MoE forms)
+/// divides or drops some of these terms and none adds to them, so no step
+/// needs more. [`angel_model::layer_inventory`] depends on the layer index
+/// only through its parity (T5 decoders are the odd layers), so layers 0
+/// and 1 are every kind of layer. Costs two layer inventories.
+fn step_need_bound(model: &TransformerConfig, config: &EngineConfig) -> u64 {
+    let (mut layer_need, mut activations) = (0u64, 0u64);
+    for l in 0..model.layers.min(2) {
+        let (mut p16, mut g16, mut act) = (0u64, 0u64, 0u64);
+        for t in layer_inventory(model, l, config.batch_size) {
+            match t.class {
+                TensorClass::Param16 => p16 += t.bytes,
+                TensorClass::Grad16 => g16 += t.bytes,
+                TensorClass::Activation => act += t.bytes,
+                _ => {}
+            }
+        }
+        layer_need = layer_need.max(p16 + g16 + act);
+        activations = activations.max(act);
+    }
+    let others_live = if config.recompute {
+        0
+    } else {
+        (model.layers.saturating_sub(1) as u64).saturating_mul(activations)
+    };
+    layer_need.saturating_add(others_live)
 }
 
 #[cfg(test)]
@@ -297,7 +390,7 @@ mod tests {
                 // the pool-overflow branch does — not bare host RAM.
                 let gps = config.cluster.server.num_gpus() as u64;
                 let host = config.cluster.server.cpu.capacity;
-                let buffers = shard.rank_params * 4 * gps;
+                let buffers = shard.totals.rank_params * 4 * gps;
                 let pool = (host.saturating_sub(buffers) as f64
                     * config.host_policy.usable_fraction) as u64
                     / gps;
@@ -339,6 +432,71 @@ mod tests {
         assert_eq!(available_bytes, mem.rank_cpu_pool);
         let msg = err.to_string();
         assert!(msg.contains("per-rank CPU page pool needs"), "{msg}");
+    }
+
+    /// The CPU-pool tier and bytes of a precheck rejection, or `None` when
+    /// the precheck passes the plan on to the pipeline.
+    fn precheck_rejection(model: &TransformerConfig, config: &EngineConfig) -> Option<(u64, u64)> {
+        match MemoryPlan::precheck(model, config) {
+            Ok(()) => None,
+            Err(Error::ModelTooLarge {
+                tier: CapacityTier::CpuPool,
+                needed_bytes,
+                available_bytes,
+                ..
+            }) => Some((needed_bytes, available_bytes)),
+            Err(e) => panic!("unexpected precheck error: {e}"),
+        }
+    }
+
+    #[test]
+    fn precheck_rejects_every_service_mix_whale() {
+        // GPT-3 28B geometry at every whale depth, alone on one server.
+        let config = EngineConfig::servers(1);
+        for layers in 300..=1000 {
+            let model = TransformerConfig::gpt3_28b().with_layers(layers);
+            let (needed, available) = precheck_rejection(&model, &config)
+                .unwrap_or_else(|| panic!("{layers}-layer whale passed the precheck"));
+            assert!(needed > available, "{layers} layers");
+        }
+    }
+
+    #[test]
+    fn precheck_rejects_every_deep_gpt175_on_one_server() {
+        for layers in 200..=400 {
+            for batch in [1, 2] {
+                let model = TransformerConfig::gpt3_175b().with_layers(layers);
+                let config = EngineConfig::servers(1).with_batch_size(batch);
+                assert!(
+                    precheck_rejection(&model, &config).is_some(),
+                    "{layers} layers at batch {batch} passed the precheck"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn precheck_passes_a_model_that_overflows_only_after_scheduling() {
+        // The 98-layer GPT-3 175B with SSD fits the pool under the bound's
+        // GPU cache; only its schedule's placement overflows the pool, so
+        // the rejection must come from `place`
+        // (`cpu_pool_overflow_names_the_tier` checks that one).
+        let model = TransformerConfig::gpt3_175b().with_layers(98);
+        let config = EngineConfig::single_server()
+            .with_ssd(true)
+            .with_batch_size(2);
+        assert_eq!(precheck_rejection(&model, &config), None);
+    }
+
+    #[test]
+    fn precheck_defers_to_the_scheduler_when_a_step_may_not_fit() {
+        // Overflows the CPU pool, but without recomputation its activations
+        // may not fit a step either, and then Algorithm 1 fails first: the
+        // precheck must leave the decision to the pipeline.
+        let model = TransformerConfig::gpt3_28b().with_layers(1000);
+        let config = EngineConfig::servers(1).with_recompute(false);
+        assert_eq!(precheck_rejection(&model, &config), None);
+        assert!(step_need_bound(&model, &config) > config.gpu_budget());
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   MoE expert parallelism).
 //! * [`MemoryPlan`] — the hierarchical-memory budgets of Section 4.1/4.2:
 //!   host pool vs. pinned lock-free buffers, SSD share, GPU budget — and
-//!   the capacity invariants that reject oversized models.
+//!   the capacity invariants that reject oversized models. Its closed-form
+//!   [`MemoryPlan::precheck`] runs ahead of every stage, so a model that
+//!   cannot fit is rejected before it is traced.
 //! * [`SchedulePlan`] — the Unified Scheduler (Algorithm 1) run over the
 //!   shard plan, plus the dynamic GPU cache sizing (Section 4.2).
 //! * [`Lowering`] — turns a schedule and a placement into an `angel-sim`
@@ -40,5 +42,5 @@ pub use lower::{
 pub use memory::{MemoryPlan, Placement, PlacementPlan};
 pub use parallel::{ParallelismPlan, ZeroStage};
 pub use schedule::SchedulePlan;
-pub use shard::ShardPlan;
+pub use shard::{RankTotals, ShardPlan};
 pub use trace::TracePlan;

@@ -52,30 +52,43 @@ impl SchedulePlan {
         // whatever optimizer cache fits afterwards. The base is this rank's
         // model-parallel slice: the whole model for pure data parallelism.
         let resident_param_bytes = (schedule.stats.resident_fraction
-            * zero.shard_bytes(shard.model_parallel_params * 4) as f64)
+            * zero.shard_bytes(shard.totals.model_parallel_params * 4) as f64)
             as u64;
-        let cache_plan = if config.gpu_cache {
-            plan_cache(
-                mem.gpu_budget,
-                schedule.stats.peak_gpu_bytes,
-                shard.rank_optim,
-                config.page_size,
-                config.page_size * 16, // safety margin: 16 pages
-            )
-        } else {
-            plan_cache(
-                mem.gpu_budget,
-                mem.gpu_budget,
-                shard.rank_optim,
-                config.page_size,
-                0,
-            )
-        };
+        let cache_plan = Self::cache_plan(
+            config,
+            mem.gpu_budget,
+            schedule.stats.peak_gpu_bytes,
+            shard.totals.rank_optim,
+        );
         Ok(Self {
             schedule,
             cache_plan,
             resident_param_bytes,
         })
+    }
+
+    /// Size the GPU cache of `rank_optim` optimizer bytes for a schedule
+    /// whose planned peak is `planned_peak`: the spare GPU budget less a
+    /// 16-page safety margin, in whole pages, or nothing when `gpu_cache`
+    /// is off. The cache never grows with the peak, so `planned_peak = 0`
+    /// bounds the cache of every schedule from above.
+    pub fn cache_plan(
+        config: &EngineConfig,
+        gpu_budget: u64,
+        planned_peak: u64,
+        rank_optim: u64,
+    ) -> CachePlan {
+        if config.gpu_cache {
+            plan_cache(
+                gpu_budget,
+                planned_peak,
+                rank_optim,
+                config.page_size,
+                config.page_size * 16, // safety margin: 16 pages
+            )
+        } else {
+            plan_cache(gpu_budget, gpu_budget, rank_optim, config.page_size, 0)
+        }
     }
 
     /// [`SchedulePlan::build`], kept only because the benchmark harness
@@ -123,7 +136,7 @@ mod tests {
         // The whole FP16 shard counts as resident bytes.
         assert_eq!(
             planned.resident_param_bytes,
-            ZeroPartition::new(mem.n_gpus).shard_bytes(shard.total_params * 4)
+            ZeroPartition::new(mem.n_gpus).shard_bytes(shard.totals.total_params * 4)
         );
         assert!(planned.cache_plan.cached_fraction > 0.99);
     }

@@ -26,15 +26,12 @@ use angel_model::TransformerConfig;
 
 use super::trace::TracePlan;
 
-/// The sharded view of the model: scheduler input plus rank byte totals.
-#[derive(Debug, Clone)]
-pub struct ShardPlan {
-    /// Per-layer pages/working sets for the Unified Scheduler.
-    pub input: SchedulerInput,
-    /// Per-layer FP16 parameter bytes that cross the collective fabric
-    /// (all parameters for dense models; non-expert parameters only under
-    /// expert parallelism).
-    pub layer_comm_bytes: Vec<u64>,
+/// This rank's byte totals: a closed form of the model size and the
+/// parallelism plan, shared by [`ShardPlan::build`] and the capacity
+/// precheck ([`super::MemoryPlan::precheck`]), which needs them before any
+/// trace exists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RankTotals {
     /// Whole-model parameter count.
     pub total_params: u64,
     /// Parameters of one model-parallel slice (`total / (tp·pp)` — the
@@ -52,14 +49,11 @@ pub struct ShardPlan {
     pub rank_p16g16: u64,
 }
 
-impl ShardPlan {
-    /// Shard `model` across the mesh described by `traced`.
-    pub fn build(model: &TransformerConfig, config: &EngineConfig, traced: &TracePlan) -> Self {
-        let plan = traced.plan;
-        let trace = &traced.trace;
+impl RankTotals {
+    /// The totals of one rank of `model` under `plan`.
+    pub fn new(model: &TransformerConfig, plan: &ParallelismPlan) -> Self {
         let total_params = model.total_params();
         let state_bytes = model.model_state_bytes();
-
         // Model parallelism divides the replica first; the ZeRO stage then
         // decides what the dp group shards of each rank's slice.
         let mp = plan.model_parallel();
@@ -74,7 +68,36 @@ impl ShardPlan {
             // optimizer states.
             _ => rank_p16g16 + rank_optim,
         };
+        Self {
+            total_params,
+            model_parallel_params,
+            state_bytes,
+            rank_params,
+            rank_state_bytes,
+            rank_optim,
+            rank_p16g16,
+        }
+    }
+}
 
+/// The sharded view of the model: scheduler input plus rank byte totals.
+#[derive(Debug, Clone)]
+pub struct ShardPlan {
+    /// Per-layer pages/working sets for the Unified Scheduler.
+    pub input: SchedulerInput,
+    /// Per-layer FP16 parameter bytes that cross the collective fabric
+    /// (all parameters for dense models; non-expert parameters only under
+    /// expert parallelism).
+    pub layer_comm_bytes: Vec<u64>,
+    /// This rank's byte totals.
+    pub totals: RankTotals,
+}
+
+impl ShardPlan {
+    /// Shard `model` across the mesh described by `traced`.
+    pub fn build(model: &TransformerConfig, config: &EngineConfig, traced: &TracePlan) -> Self {
+        let plan = traced.plan;
+        let trace = &traced.trace;
         let gpu_budget = config.gpu_budget();
         let degenerate = plan.tp == 1 && plan.pp == 1 && plan.zero_stage == ZeroStage::Full;
         let input = if model.is_moe() {
@@ -105,13 +128,7 @@ impl ShardPlan {
         Self {
             input,
             layer_comm_bytes,
-            total_params,
-            model_parallel_params,
-            state_bytes,
-            rank_params,
-            rank_state_bytes,
-            rank_optim,
-            rank_p16g16,
+            totals: RankTotals::new(model, &plan),
         }
     }
 }
@@ -385,9 +402,9 @@ mod tests {
             assert_eq!(plan.layer_comm_bytes[l], full, "layer {l}");
         }
         // Replicated states: 16 bytes per parameter of the tp·pp slice.
-        let slice = plan.total_params.div_ceil(8);
-        assert_eq!(plan.rank_params, slice);
-        assert_eq!(plan.rank_state_bytes, slice * 16);
+        let slice = plan.totals.total_params.div_ceil(8);
+        assert_eq!(plan.totals.rank_params, slice);
+        assert_eq!(plan.totals.rank_state_bytes, slice * 16);
     }
 
     #[test]
@@ -412,19 +429,20 @@ mod tests {
                 "layer {l}"
             );
         }
-        assert_eq!(plan.rank_params, plan.total_params.div_ceil(2).div_ceil(8));
-        assert_eq!(plan.rank_optim, plan.rank_params * 12);
+        let t = plan.totals;
+        assert_eq!(t.rank_params, t.total_params.div_ceil(2).div_ceil(8));
+        assert_eq!(t.rank_optim, t.rank_params * 12);
     }
 
     #[test]
     fn rank_totals_follow_zero_arithmetic() {
         let model = TransformerConfig::gpt3_1_7b().with_layers(4);
         let config = EngineConfig::single_server();
-        let plan = build(&model, &config);
+        let t = build(&model, &config).totals;
         let n = config.num_gpus() as u64;
-        assert_eq!(plan.rank_params, plan.total_params.div_ceil(n));
-        assert_eq!(plan.rank_optim, plan.rank_params * 12);
-        assert_eq!(plan.rank_p16g16, plan.rank_params * 4);
-        assert_eq!(plan.state_bytes, model.model_state_bytes());
+        assert_eq!(t.rank_params, t.total_params.div_ceil(n));
+        assert_eq!(t.rank_optim, t.rank_params * 12);
+        assert_eq!(t.rank_p16g16, t.rank_params * 4);
+        assert_eq!(t.state_bytes, model.model_state_bytes());
     }
 }

@@ -37,14 +37,7 @@ impl TracePlan {
     /// and validate the parallelism plan against the cluster.
     pub fn build(model: &TransformerConfig, config: &EngineConfig) -> Result<Self> {
         let plan = config.parallelism;
-        let mesh = config.device_mesh()?;
-        if model.is_moe() && plan.model_parallel() > 1 {
-            return Err(Error::InvalidParallelism(format!(
-                "MoE models use expert parallelism on the dp axis; tensor/pipeline \
-                 parallelism is unsupported (got tp={}, pp={})",
-                plan.tp, plan.pp
-            )));
-        }
+        let mesh = Self::validate(model, config)?;
         let tracer = Tracer {
             gpu_model: config.gpu_compute,
             cpu_model: config.cpu_update,
@@ -56,6 +49,23 @@ impl TracePlan {
             mesh,
             plan,
         })
+    }
+
+    /// Lay `config`'s parallelism plan onto the cluster and check that
+    /// `model` supports it: the checks [`TracePlan::build`] makes before it
+    /// traces, which the capacity precheck
+    /// ([`super::MemoryPlan::precheck`]) makes first.
+    pub fn validate(model: &TransformerConfig, config: &EngineConfig) -> Result<DeviceMesh> {
+        let plan = config.parallelism;
+        let mesh = config.device_mesh()?;
+        if model.is_moe() && plan.model_parallel() > 1 {
+            return Err(Error::InvalidParallelism(format!(
+                "MoE models use expert parallelism on the dp axis; tensor/pipeline \
+                 parallelism is unsupported (got tp={}, pp={})",
+                plan.tp, plan.pp
+            )));
+        }
+        Ok(mesh)
     }
 }
 

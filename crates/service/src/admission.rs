@@ -7,7 +7,9 @@
 //! budget. This is the PatrickStar critique answered with a certificate:
 //! admission decisions are justified by a bound the executor can never
 //! exceed, so an admitted job cannot OOM its slice no matter how its
-//! iterations interleave.
+//! iterations interleave. A job whose states cannot fit the slice under
+//! any schedule is rejected before planning, by the engine's closed-form
+//! capacity precheck, so an infeasible job costs no trace or plan.
 
 use crate::job::{JobSpec, RejectReason};
 use angel_core::{Engine, EngineConfig, PlanGraph};
@@ -45,6 +47,11 @@ pub fn slice_config(spec: &JobSpec, servers: usize) -> EngineConfig {
 /// steps it, parks it, and splices it onto different slice sizes.
 ///
 /// Failure modes, in checking order:
+/// * [`RejectReason::Infeasible`] from the capacity precheck — the
+///   closed-form check ahead of planning
+///   ([`angel_core::MemoryPlan::precheck`]) proves that no schedule can fit
+///   the model's states in the slice's CPU page pool, so nothing is traced
+///   or planned;
 /// * [`RejectReason::Infeasible`] — the planner itself cannot place the
 ///   model on the slice (or the verifier found the lowering unclean, which
 ///   would make any bound unsound);

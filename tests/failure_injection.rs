@@ -3,7 +3,7 @@
 //! resource loss and restarts.
 
 use angel_core::lockfree::{ClearPolicy, LayerState, LockFreeTrainer, MemoryStore, SgdOptimizer};
-use angel_core::{Engine, EngineConfig};
+use angel_core::{CapacityTier, Engine, EngineConfig, Error, MemoryPlan};
 use angel_hw::DeviceId;
 use angel_integration::{server, small_gpt};
 use angel_model::TransformerConfig;
@@ -30,6 +30,40 @@ fn shrinking_the_fleet_reinitializes_cleanly() {
             }
         }
     }
+}
+
+/// An elastic splice onto a fleet too small for the model fails typed,
+/// before anything is traced, and leaves the engine exactly as it was: same
+/// lowering, same config, same next iteration.
+#[test]
+fn failed_splice_leaves_the_engine_as_it_was() {
+    // GPT-3 28B geometry at 100 layers fits two servers, not one.
+    let model = TransformerConfig::gpt3_28b().with_layers(100);
+    let mut engine = Engine::initialize(&model, &EngineConfig::servers(2)).unwrap();
+    let tasks = engine.lowered().sim.num_tasks();
+    let comm_log = format!("{:?}", engine.lowered().comm_log);
+    let config = format!("{:?}", engine.config());
+    let before = engine.train_iteration();
+
+    let one_server = EngineConfig::servers(1);
+    assert!(
+        MemoryPlan::precheck(&model, &one_server).is_err(),
+        "the splice must be rejected before tracing"
+    );
+    match engine.splice_resize(0, 1) {
+        Err(Error::ModelTooLarge {
+            tier: CapacityTier::CpuPool,
+            needed_bytes,
+            available_bytes,
+            ..
+        }) => assert!(needed_bytes > available_bytes),
+        other => panic!("expected a CPU-pool ModelTooLarge, got {other:?}"),
+    }
+
+    assert_eq!(engine.lowered().sim.num_tasks(), tasks);
+    assert_eq!(format!("{:?}", engine.lowered().comm_log), comm_log);
+    assert_eq!(format!("{:?}", engine.config()), config);
+    assert_eq!(engine.train_iteration(), before);
 }
 
 /// Device-capacity shrink: a tighter GPU budget (e.g. another tenant's
