@@ -23,7 +23,7 @@ fn bench_scheduler(c: &mut Criterion) {
     group.finish();
 }
 
-/// `UnifiedScheduler::schedule` (a from-scratch `Planner` session) vs. the
+/// `UnifiedScheduler::schedule` (the one from-scratch Algorithm 1) vs. the
 /// per-page `oracle` (enabled by angel-core's `verify-extras` feature) on
 /// the same input — the criterion-visible version of the `planning_cost`
 /// binary's headline comparison (which records `BENCH_plan.json`).

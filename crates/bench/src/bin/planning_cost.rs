@@ -1,8 +1,7 @@
 //! Planning-cost benchmark: the Unified Scheduler's (Algorithm 1) wall-clock
 //! planning time on paper-scale inputs (DESIGN.md §9). The "optimized"
-//! column is `UnifiedScheduler::schedule` — a from-scratch
-//! `Planner::new` session, the library's one Algorithm 1 — and the
-//! "oracle" column is the per-page reference `scheduler::oracle`, which
+//! column is `UnifiedScheduler::schedule` — the library's one Algorithm 1,
+//! which plans from scratch — and the "oracle" column is the per-page reference `scheduler::oracle`, which
 //! this crate reaches through angel-core's `verify-extras` feature.
 //!
 //! Writes the machine-readable baseline `BENCH_plan.json` at the repo root
@@ -14,16 +13,13 @@
 //! ```
 //!
 //! Every timed pair is also checked byte-identical (same tasks, same stats),
-//! so the speedup numbers are for provably equivalent schedules. The
-//! `replan-*` rows time a warm `Planner::replan` — the slack fast path when
-//! the delta fits its margins, otherwise a from-scratch replan on the
-//! session's buffers — against `schedule()` of the same mutated input.
+//! so the speedup numbers are for provably equivalent schedules.
 
 use angel_bench::Experiment;
 use angel_core::scheduler::{
     input_from_trace, oracle, LayerPlan, Schedule, SchedulerInput, UnifiedScheduler,
 };
-use angel_core::{MetricsSnapshot, Planner, Recorder, ReplanDelta, Tracer};
+use angel_core::{MetricsSnapshot, Recorder, Tracer};
 use angel_model::TransformerConfig;
 use std::time::Instant;
 
@@ -85,56 +81,6 @@ fn model_row(name: &'static str, cfg: &TransformerConfig, dp: usize, budget: u64
         .unwrap_or(0);
     input.gpu_budget = input.gpu_budget.max(need + need / 4);
     Row { name, input }
-}
-
-/// A replan case: a named mutation of `base`, expressed both as the mutated
-/// input (for the `schedule()` side) and as forward/reverse deltas (for the
-/// session side, applied alternately so each timed replan starts from a
-/// warm session with reusable buffers).
-struct DeltaCase {
-    name: String,
-    base: SchedulerInput,
-    mutated: SchedulerInput,
-}
-
-impl DeltaCase {
-    fn single_layer(model: &str, base: &SchedulerInput) -> Self {
-        // A one-byte working-set nudge on one layer: the canonical local
-        // delta (an activation-footprint re-estimate). The increase fits the
-        // recorded decision margins, so it takes the slack fast path: no
-        // decision replay and no emission.
-        let idx = base.layers.len() / 2;
-        let mut mutated = base.clone();
-        mutated.layers[idx].working_set += 1;
-        Self {
-            name: format!("replan-single-layer-{model}"),
-            base: base.clone(),
-            mutated,
-        }
-    }
-
-    fn outage(model: &str, base: &SchedulerInput) -> Self {
-        // A degraded fleet tightens the budget by 1/16 — a pure capacity
-        // delta, like the Engine::run_online outage splice. It replans from
-        // scratch.
-        let mut mutated = base.clone();
-        mutated.gpu_budget -= mutated.gpu_budget / 16;
-        Self {
-            name: format!("replan-outage-{model}"),
-            base: base.clone(),
-            mutated,
-        }
-    }
-
-    fn resize(model: &str, base: &SchedulerInput, resized: &SchedulerInput) -> Self {
-        // Elastic resize dp 8 → 16: every layer's shard halves — the delta
-        // touches all layers and replans from scratch.
-        Self {
-            name: format!("replan-resize-{model}"),
-            base: base.clone(),
-            mutated: resized.clone(),
-        }
-    }
 }
 
 fn main() {
@@ -230,96 +176,12 @@ fn main() {
             "identical": identical,
         }));
     }
-    // Replanning a warm session vs. schedule() of the same mutated input.
-    // Columns map as: optimized = `Planner::replan` on a warm session (the
-    // slack fast path, or a full replan that reuses the session's buffers),
-    // oracle = from-scratch schedule() (`Planner::new`) of the mutated
-    // input. `identical` asserts the session's schedule is byte-equal to
-    // the from-scratch one.
-    let mut cases = Vec::new();
-    for (model, cfg) in [
-        ("gpt3-13b", TransformerConfig::gpt3_13b()),
-        ("gpt3-175b", TransformerConfig::gpt3_175b()),
-        ("gpt3-1t", TransformerConfig::gpt3_175b().with_layers(548)),
-    ] {
-        let base = model_row("base", &cfg, 8, 30 * gib).input;
-        let resized = model_row("resized", &cfg, 16, 30 * gib).input;
-        cases.push(DeltaCase::single_layer(model, &base));
-        cases.push(DeltaCase::outage(model, &base));
-        cases.push(DeltaCase::resize(model, &base, &resized));
-    }
-    for case in &cases {
-        let fwd = ReplanDelta::diff(&case.base, &case.mutated);
-        let rev = ReplanDelta::diff(&case.mutated, &case.base);
-        let mut planner = Planner::new(sched.clone(), case.base.clone()).expect("feasible base");
-        // Alternate forward/reverse applies: each timed replan runs on a
-        // warm session whose timeline and emission buffers are reused
-        // (reset, not reallocated). Best-of over both directions.
-        let mut inc_s = f64::INFINITY;
-        for _ in 0..reps {
-            for delta in [&fwd, &rev] {
-                let t0 = Instant::now();
-                planner.replan(delta).expect("feasible delta");
-                inc_s = inc_s.min(t0.elapsed().as_secs_f64());
-            }
-        }
-        planner.replan(&fwd).expect("feasible delta"); // land on `mutated`
-        let outcome = planner.last_outcome();
-        let (full_s, full): (f64, Schedule) =
-            time_best(reps, || sched.schedule(&case.mutated).expect("feasible"));
-        let identical = *planner.schedule() == full;
-        assert!(
-            identical,
-            "{}: replanned session diverges from from-scratch schedule",
-            case.name
-        );
-        let speedup = full_s / inc_s.max(1e-9);
-        let pages: usize = case
-            .mutated
-            .layers
-            .iter()
-            .map(|l| l.shard_pages.len())
-            .sum();
-        recorder.counter("plan.replans").inc();
-        recorder.counter("plan.replan_ns").add((inc_s * 1e9) as u64);
-        recorder
-            .counter("plan.layers_reused")
-            .add(outcome.layers_reused as u64);
-        plan_us.observe((inc_s * 1e6) as u64);
-        table.row(vec![
-            case.name.clone(),
-            case.mutated.layers.len().to_string(),
-            case.mutated.steps.len().to_string(),
-            pages.to_string(),
-            format!("{:.3} ms", inc_s * 1e3),
-            format!("{:.3} ms", full_s * 1e3),
-            format!("{speedup:.1}x"),
-            identical.to_string(),
-        ]);
-        records.push(serde_json::json!({
-            "name": case.name.clone(),
-            "layers": case.mutated.layers.len(),
-            "steps": case.mutated.steps.len(),
-            "pages": pages,
-            "tasks": full.tasks.len(),
-            "optimized_ms": inc_s * 1e3,
-            "oracle_ms": full_s * 1e3,
-            "speedup": speedup,
-            "identical": identical,
-            "layers_reused": outcome.layers_reused,
-            "layers_touched": outcome.layers_touched,
-            "patched_in_place": outcome.patched_in_place,
-        }));
-    }
 
     table.note(
-        "Optimized = UnifiedScheduler::schedule, a from-scratch Planner session \
-         (segment-tree timeline, run-form batched evict/re-add); oracle = \
-         retained per-page O(pages × steps) implementation. Both emit \
-         byte-identical schedules (asserted). replan-* rows compare a warm \
-         session's replan (optimized: the slack fast path, or a full replan \
-         on reused buffers) against a from-scratch schedule of the mutated \
-         input (oracle).",
+        "Optimized = UnifiedScheduler::schedule (segment-tree timeline, \
+         run-form batched evict/re-add); oracle = retained per-page \
+         O(pages × steps) implementation. Both emit byte-identical \
+         schedules (asserted).",
     );
     table.emit();
 

@@ -49,7 +49,6 @@ use crate::plan::{
     lower_schedule, FaultTarget, LoweredIteration, MemoryPlan, ScheduleLowering, SchedulePlan,
     ShardPlan, TracePlan,
 };
-use crate::replan::ReplanOutcome;
 use crate::scheduler::Schedule;
 use crate::tracer::Trace;
 use angel_hw::DeviceId;
@@ -149,12 +148,36 @@ pub struct SpliceReport {
     /// then trace → shard → memory → schedule → place → materialize.
     pub replan_ns: u64,
     /// What the replan reused: a splice plans from scratch, so every layer
-    /// is touched, none is reused and every trigger slot is emitted.
-    pub outcome: ReplanOutcome,
+    /// is touched and none is reused.
+    pub outcome: SpliceOutcome,
     /// Whether the spliced lowering was verified (plan graph + SPMD) when
     /// the splice built it — true in every debug build, false in release
     /// builds.
     pub verified: bool,
+}
+
+/// What a splice's plan reused. Every splice plans from scratch, so this
+/// is always [`SpliceOutcome::from_scratch`]; benchmark harnesses still
+/// read its fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SpliceOutcome {
+    /// Layers the new plan covers (this rank's pipeline stage).
+    pub layers_touched: usize,
+    /// Layers whose previous plan carried over: always 0.
+    pub layers_reused: usize,
+    /// Whether the previous task buffer was patched in place: always false.
+    pub patched_in_place: bool,
+}
+
+impl SpliceOutcome {
+    /// A from-scratch plan of `layers_touched` layers: nothing reused.
+    pub fn from_scratch(layers_touched: usize) -> Self {
+        Self {
+            layers_touched,
+            layers_reused: 0,
+            patched_in_place: false,
+        }
+    }
 }
 
 /// Result of an online-replanning run.
@@ -710,10 +733,8 @@ impl Engine {
         config.parallelism = config.parallelism.refit(config.cluster.total_gpus())?;
         let (mut spliced, replan_ns) =
             Self::plan(&self.model, &config, "spliced iteration lowering")?;
-        let outcome = ReplanOutcome::from_scratch(
-            config.parallelism.stage_layers(self.model.layers),
-            spliced.schedule.num_steps,
-        );
+        let outcome =
+            SpliceOutcome::from_scratch(config.parallelism.stage_layers(self.model.layers));
 
         // Commit the spliced plan.
         spliced.baseline_gpu_reserved = self.baseline_gpu_reserved;
@@ -1058,10 +1079,10 @@ mod tests {
         let s1 = e.train_iteration();
         let grown = e.splice_resize(0, 2).unwrap();
         assert_eq!(grown.servers, 2);
-        // A splice is a fresh plan: nothing reused, every trigger emitted.
+        // A splice is a fresh plan: nothing reused.
         assert_eq!(
             grown.outcome,
-            ReplanOutcome::from_scratch(grown.outcome.layers_touched, e.schedule().num_steps)
+            SpliceOutcome::from_scratch(grown.outcome.layers_touched)
         );
         assert!(grown.outcome.layers_touched > 0);
         let s2 = e.train_iteration();

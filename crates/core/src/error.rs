@@ -182,11 +182,10 @@ pub enum Error {
     /// tensors. Silently replacing it would zero `used_pages`/`tenant_bytes`
     /// under the residents and corrupt every stat and gauge afterwards.
     PoolInUse { device: DeviceId, used_pages: usize },
-    /// A [`crate::replan::ReplanDelta`] is malformed (out-of-range or
-    /// duplicate layer index, layer-count change without a step list, a step
-    /// referencing a missing layer, ...). The planner rejects it without
-    /// mutating its state, so the previous plan stays live.
-    BadReplanDelta(&'static str),
+    /// A [`crate::scheduler::SchedulerInput`] is malformed: an empty model,
+    /// a step naming a missing layer, or a layer with no compute step.
+    /// [`crate::UnifiedScheduler::schedule`] rejects it before planning.
+    BadSchedulerInput(&'static str),
     /// A [`crate::ClusterEvent::ServerLoss`] destroyed the entire fleet:
     /// no server survives to replan onto. Earlier versions silently
     /// respliced onto one phantom server; total loss is terminal and must
@@ -249,7 +248,7 @@ impl fmt::Display for Error {
                 f,
                 "pool on {device} still holds {used_pages} used page(s); release its tensors before re-registering"
             ),
-            Error::BadReplanDelta(msg) => write!(f, "bad replan delta: {msg}"),
+            Error::BadSchedulerInput(msg) => write!(f, "bad scheduler input: {msg}"),
             Error::ClusterExhausted {
                 had_servers,
                 lost_servers,

@@ -80,7 +80,6 @@ pub mod obs;
 pub mod page;
 pub mod plan;
 pub mod recovery;
-pub mod replan;
 pub mod scheduler;
 pub mod seqtree;
 pub mod sync;
@@ -92,7 +91,9 @@ pub mod zero;
 pub use allocator::{CompactionReport, PageAllocator, PoolStats};
 pub use communicator::{CommGroup, CommKind, CommRecord, Communicator, GroupSpec};
 pub use config::EngineConfig;
-pub use engine::{ClusterEvent, Engine, IterStats, OnlineReport, RunReport, SpliceReport};
+pub use engine::{
+    ClusterEvent, Engine, IterStats, OnlineReport, RunReport, SpliceOutcome, SpliceReport,
+};
 pub use error::{CapacityTier, Error, Result, StoreError, StoreErrorKind, StoreOp, TrainerError};
 pub use executor::{Executor, Stream};
 pub use fault::{FaultCounters, FaultPlan, FaultyStore};
@@ -102,7 +103,6 @@ pub use plan::{
     lower_schedule, FaultTarget, Lowering, LoweringConfig, MemoryPlan, ParallelismPlan, Placement,
     SchedulePlan, ShardPlan, TracePlan, ZeroStage,
 };
-pub use replan::{Planner, ReplanDelta, ReplanOutcome};
 pub use scheduler::{ScheduleTask, TaskOp, UnifiedScheduler};
 pub use tensor::{Tensor, TensorId};
 pub use tracer::{TensorTrace, Tracer};

@@ -9,14 +9,13 @@
 //! spare GPU memory (budget − planned peak − safety margin) holds hot
 //! FP32 pages so their updates run on the GPU and skip the PCIe round trip.
 //!
-//! Every build plans from scratch ([`UnifiedScheduler::schedule`]): an
-//! engine splice gets a fresh plan of its new input, never a diff against
-//! the previous schedule.
+//! Algorithm 1 has one implementation, [`UnifiedScheduler::schedule`], and
+//! every build plans from scratch with it: an engine splice is a fresh plan
+//! of its new input, never a diff against the previous schedule.
 
 use crate::cache::{plan_cache, CachePlan};
 use crate::config::EngineConfig;
 use crate::error::Result;
-use crate::replan::Planner;
 use crate::scheduler::{Schedule, UnifiedScheduler};
 use crate::zero::ZeroPartition;
 
@@ -92,14 +91,14 @@ impl SchedulePlan {
     }
 
     /// [`SchedulePlan::build`], kept only because the benchmark harness
-    /// (`perfbench/`) still calls it by this name. It plans from scratch
-    /// and clears `planner`: no session outlives a plan.
+    /// (`perfbench/`) still calls it by this name with an empty slot. It
+    /// clears `planner` and plans from scratch.
     pub fn build_with_planner(
         config: &EngineConfig,
         shard: &ShardPlan,
         mem: &MemoryPlan,
         zero: &ZeroPartition,
-        planner: &mut Option<Planner>,
+        planner: &mut Option<Schedule>,
     ) -> Result<Self> {
         *planner = None;
         Self::build(config, shard, mem, zero)

@@ -33,19 +33,21 @@
 //! timeline operation — evict, re-add fit check, re-add commit, gather
 //! advancement, peak — is O(log steps).
 //!
-//! This module holds the algorithm's types, its configuration
-//! ([`UnifiedScheduler`]) and that timeline. The one implementation of the
-//! two phases and the task emission is [`crate::replan::Planner`], which
-//! batches whole same-layer page runs into single range updates for an
-//! overall O((pages + steps)·log steps) plan and keeps its decisions alive
-//! for the replan fast path; [`UnifiedScheduler::schedule`] is a
-//! from-scratch `Planner` session. The original per-page / per-step
+//! The two phases run in **run form**: a decision is one `[lo, hi)` page
+//! range per same-layer batch (a maximal same-layer run of Algorithm 1's
+//! stacks), found by binary search on per-layer page-prefix sums instead
+//! of a per-page stack walk. The decisions cost O((layers + steps)·log
+//! steps); the O(tasks) emission of the trigger-sorted list dominates a
+//! plan at GPT-3-1T scale.
+//!
+//! [`UnifiedScheduler::schedule`] is the one implementation: it plans
+//! every input from scratch on the borrowed input, and an engine splice is
+//! just a fresh plan of the new input. The original per-page / per-step
 //! planner is retained verbatim in `oracle` (test and `verify-extras`
 //! builds only) as the independent reference the proptests prove
 //! byte-identical.
 
-use crate::error::Result;
-use crate::replan::Planner;
+use crate::error::{Error, Result};
 use crate::seqtree::RangeAddMax;
 use serde::{Deserialize, Serialize};
 
@@ -212,20 +214,11 @@ impl Default for UnifiedScheduler {
 ///
 /// Logical content (identical to `oracle::NaiveTimeline`): `mem[j]` =
 /// resident shard bytes live at step `j` + gathered-buffer extras whose
-/// span covers `j` + step `j`'s working set.
-///
-/// The state owns every buffer (no borrow of the input) so the replanner
-/// (`crate::replan`) can keep one timeline alive across plans and re-arm it
-/// with [`TimelineState::reset`] — reusing the tree nodes and all
-/// per-layer vectors instead of reallocating them each call. Methods that
-/// need the model take `&SchedulerInput` explicitly; callers must pass the
-/// same input the state was last reset with.
-pub(crate) struct TimelineState {
+/// span covers `j` + step `j`'s working set. Methods that need the model
+/// take `&SchedulerInput` explicitly; callers pass the input the state was
+/// built from.
+struct TimelineState {
     mem: RangeAddMax,
-    /// Scratch: the initial per-step totals the tree is (re)built from.
-    mem0: Vec<u64>,
-    /// Scratch: difference array for the resident-shard fill.
-    diff: Vec<i64>,
     /// Bytes of layer `l`'s shard moved at trigger 0 and still scheduled.
     resident0: Vec<u64>,
     /// Re-added bytes per layer as `(trigger, cumulative bytes)`, trigger
@@ -246,117 +239,80 @@ pub(crate) struct TimelineState {
 }
 
 impl TimelineState {
-    pub(crate) fn new(input: &SchedulerInput) -> Self {
-        let mut state = Self {
-            mem: RangeAddMax::from_values(&[]),
-            mem0: Vec::new(),
-            diff: Vec::new(),
-            resident0: Vec::new(),
-            resched_cum: Vec::new(),
-            gather_trigger: Vec::new(),
-            last_use: Vec::new(),
-            steps_of_layer: Vec::new(),
-            own_bits: Vec::new(),
-            words: 0,
-        };
-        state.reset(input);
-        state
-    }
-
-    /// Re-arm for a fresh plan over `input`, reusing every allocation.
-    pub(crate) fn reset(&mut self, input: &SchedulerInput) {
+    fn new(input: &SchedulerInput) -> Self {
         let n_steps = input.steps.len();
         let n_layers = input.layers.len();
-        self.words = n_steps.div_ceil(64);
-        for v in &mut self.steps_of_layer {
-            v.clear();
-        }
-        self.steps_of_layer.resize_with(n_layers, Vec::new);
-        self.own_bits.clear();
-        self.own_bits.resize(n_layers * self.words, 0);
+        let words = n_steps.div_ceil(64);
+        let mut steps_of_layer = vec![Vec::new(); n_layers];
+        let mut own_bits = vec![0u64; n_layers * words];
         for (j, s) in input.steps.iter().enumerate() {
             let l = s.layer();
-            self.steps_of_layer[l].push(j);
-            self.own_bits[l * self.words + j / 64] |= 1 << (j % 64);
+            steps_of_layer[l].push(j);
+            own_bits[l * words + j / 64] |= 1 << (j % 64);
         }
-        self.last_use.clear();
-        self.last_use
-            .extend(self.steps_of_layer.iter().map(|v| match v.last() {
+        let last_use: Vec<usize> = steps_of_layer
+            .iter()
+            .map(|v| match v.last() {
                 Some(&j) => j,
-                // The trace emits at least a forward step per layer.
+                // `validate_input` rejects a layer with no step.
                 None => unreachable!("layer with no steps in the trace"),
-            }));
-        self.resident0.clear();
-        self.resident0
-            .extend(input.layers.iter().map(|l| l.shard_bytes()));
+            })
+            .collect();
+        let resident0: Vec<u64> = input.layers.iter().map(LayerPlan::shard_bytes).collect();
         // Resident shards via a difference array (O(layers + steps) instead
         // of the oracle's O(layers × steps) fill): every page starts at
         // trigger 0, live until the layer's last use.
-        self.diff.clear();
-        self.diff.resize(n_steps + 1, 0);
-        for (l, &bytes) in self.resident0.iter().enumerate() {
-            self.diff[0] += bytes as i64;
-            self.diff[self.last_use[l] + 1] -= bytes as i64;
+        let mut diff = vec![0i64; n_steps + 1];
+        for (l, &bytes) in resident0.iter().enumerate() {
+            diff[0] += bytes as i64;
+            diff[last_use[l] + 1] -= bytes as i64;
         }
-        self.mem0.clear();
-        self.mem0.resize(n_steps, 0);
+        // Per-step resident shards + working set + just-in-time gather
+        // extra (full − resident) + external base load.
         let mut running = 0i64;
-        for (j, m) in self.mem0.iter_mut().enumerate() {
-            running += self.diff[j];
-            *m = running as u64;
+        let mem0: Vec<u64> = input
+            .steps
+            .iter()
+            .enumerate()
+            .map(|(j, s)| {
+                running += diff[j];
+                let l = s.layer();
+                let layer = &input.layers[l];
+                running as u64
+                    + layer.working_set
+                    + layer.full_param_bytes.saturating_sub(resident0[l])
+                    + input.step_base_load.get(j).copied().unwrap_or(0)
+            })
+            .collect();
+        Self {
+            mem: RangeAddMax::from_values(&mem0),
+            resident0,
+            resched_cum: vec![Vec::new(); n_layers],
+            gather_trigger: (0..n_steps).collect(),
+            last_use,
+            steps_of_layer,
+            own_bits,
+            words,
         }
-        // Per-step working set + just-in-time gather extra (full − resident)
-        // + external base load.
-        for (j, s) in input.steps.iter().enumerate() {
-            let l = s.layer();
-            self.mem0[j] += input.layers[l].working_set;
-            self.mem0[j] += input.layers[l]
-                .full_param_bytes
-                .saturating_sub(self.resident0[l]);
-            if let Some(&base) = input.step_base_load.get(j) {
-                self.mem0[j] += base;
-            }
-        }
-        self.mem.reset_from_values(&self.mem0);
-        for v in &mut self.resched_cum {
-            v.clear();
-        }
-        self.resched_cum.resize_with(n_layers, Vec::new);
-        self.gather_trigger.clear();
-        self.gather_trigger.extend(0..n_steps);
     }
 
     /// Whether step `j` computes layer `l` (O(1) bitmap lookup).
-    pub(crate) fn is_own_step(&self, l: usize, j: usize) -> bool {
+    fn is_own_step(&self, l: usize, j: usize) -> bool {
         self.own_bits[l * self.words + j / 64] >> (j % 64) & 1 == 1
     }
 
-    /// The compute steps of layer `l`, ascending.
-    pub(crate) fn steps_of(&self, l: usize) -> &[usize] {
-        &self.steps_of_layer[l]
-    }
-
-    /// Grow the planned total at layer `l`'s own compute steps by `d` bytes
-    /// — the replanner's slack fast path committing a working-set-only
-    /// increase without re-running decisions.
-    pub(crate) fn nudge_own_steps(&mut self, l: usize, d: u64) {
-        for &s in &self.steps_of_layer[l] {
-            self.mem.add(s, s, d as i64);
-        }
-    }
-
     /// The planned total at step `i` (the phase-1 fit check's read).
-    pub(crate) fn step_total(&self, i: usize) -> u64 {
+    fn step_total(&self, i: usize) -> u64 {
         self.mem.get(i)
     }
 
     /// Last compute step touching layer `l`.
-    pub(crate) fn last_use(&self, l: usize) -> usize {
+    fn last_use(&self, l: usize) -> usize {
         self.last_use[l]
     }
 
     /// The current all-gather trigger of every step.
-    pub(crate) fn gather_triggers(&self) -> &[usize] {
+    fn gather_triggers(&self) -> &[usize] {
         &self.gather_trigger
     }
 
@@ -375,7 +331,7 @@ impl TimelineState {
     /// lines 7–9): the shard bytes leave every step, but the layer's own
     /// compute steps must now gather those bytes remotely, so their totals
     /// are unchanged.
-    pub(crate) fn evict(&mut self, l: usize, total: u64) {
+    fn evict(&mut self, l: usize, total: u64) {
         self.resident0[l] -= total;
         self.mem.add(0, self.last_use[l], -(total as i64));
         for &s in &self.steps_of_layer[l] {
@@ -389,7 +345,7 @@ impl TimelineState {
     /// within budget. Affected steps are `[t, last_use(l)]` minus the
     /// layer's own compute steps (net-zero there), checked as range-max
     /// queries over the gaps between own steps.
-    pub(crate) fn readd_capacity(&self, input: &SchedulerInput, l: usize, t: usize) -> Option<u64> {
+    fn readd_capacity(&self, input: &SchedulerInput, l: usize, t: usize) -> Option<u64> {
         if t > self.last_use[l] {
             return None; // pages would arrive after the layer's last use
         }
@@ -413,7 +369,7 @@ impl TimelineState {
 
     /// Commit a batched re-add of `total` bytes of layer `l` at trigger `t`
     /// (phase 1, lines 13–15).
-    pub(crate) fn readd(&mut self, l: usize, total: u64, t: usize) {
+    fn readd(&mut self, l: usize, total: u64, t: usize) {
         self.mem.add(t, self.last_use[l], total as i64);
         for &s in &self.steps_of_layer[l] {
             if s >= t {
@@ -430,20 +386,7 @@ impl TimelineState {
     /// so the stop point is the latest step in `[floor, g−1]` already above
     /// `budget − extra` — one segment-tree descent instead of a per-step
     /// walk.
-    ///
-    /// Each fired advance also records the span it occupied and the minimum
-    /// byte margin by which the stop condition held across that span:
-    /// `(new_g, g − 1, margin)` is pushed onto `spans`. A later increase of
-    /// `≤ margin` bytes at any single step inside the span provably leaves
-    /// this advance's stop point unchanged — the evidence the replanner's
-    /// slack fast path runs on.
-    pub(crate) fn advance_gather(
-        &mut self,
-        input: &SchedulerInput,
-        i: usize,
-        horizon: usize,
-        spans: &mut Vec<(usize, usize, u64)>,
-    ) -> bool {
+    fn advance_gather(&mut self, input: &SchedulerInput, i: usize, horizon: usize) -> bool {
         let l = input.steps[i].layer();
         let extra = input.layers[l]
             .full_param_bytes
@@ -465,47 +408,424 @@ impl TimelineState {
         if new_g < g {
             self.mem.add(new_g, g - 1, extra as i64);
             self.gather_trigger[i] = new_g;
-            // Every step in [new_g, g−1] sat at ≤ threshold before the add,
-            // i.e. at ≤ budget after it; the span max after the add bounds
-            // how close the tightest step came.
-            let span_max = self.mem.max_in(new_g, g - 1).unwrap_or(0);
-            let margin = input.gpu_budget.saturating_sub(span_max);
-            spans.push((new_g, g - 1, margin));
             true
         } else {
             false
         }
     }
 
-    pub(crate) fn peak(&self) -> u64 {
+    fn peak(&self) -> u64 {
         self.mem.max_all()
     }
 }
 
 impl UnifiedScheduler {
-    /// Run Algorithm 1 on `input`: a from-scratch [`Planner`] session,
-    /// consumed for its schedule.
+    /// Run Algorithm 1 on `input`, from scratch: validate it, make phase
+    /// 1's and phase 2's decisions in run form, then emit the
+    /// trigger-sorted task list.
     ///
     /// Errors with [`crate::Error::WorkingSetTooLarge`] when some layer
     /// cannot run even with an empty GPU (gathered parameters + working set
     /// exceed the budget) — the condition under which the paper's system is
     /// also out of options without shrinking the batch — and with
-    /// [`crate::Error::BadReplanDelta`] on a malformed input (empty model, a
-    /// step naming a missing layer, a layer with no step).
+    /// [`crate::Error::BadSchedulerInput`] on a malformed input (empty
+    /// model, a step naming a missing layer, a layer with no step).
     pub fn schedule(&self, input: &SchedulerInput) -> Result<Schedule> {
-        Planner::new(self.clone(), input.clone()).map(Planner::into_schedule)
+        validate_input(input)?;
+        let page_prefix: Vec<Vec<u64>> = input.layers.iter().map(prefix_of).collect();
+        let mut timeline = TimelineState::new(input);
+        let decisions = self.plan_decisions(input, &page_prefix, &mut timeline);
+        Ok(emit(input, &page_prefix, &decisions, &timeline))
+    }
+
+    /// Phase 1 + phase 2 over runs: Algorithm 1's greedy stack decisions,
+    /// with each maximal same-layer batch found by a binary search on the
+    /// page-prefix sums instead of a per-page walk.
+    fn plan_decisions(
+        &self,
+        input: &SchedulerInput,
+        page_prefix: &[Vec<u64>],
+        timeline: &mut TimelineState,
+    ) -> Decisions {
+        let mut moves: Vec<Run> = input
+            .layers
+            .iter()
+            .enumerate()
+            .filter(|(_, layer)| !layer.shard_pages.is_empty())
+            .map(|(li, layer)| Run {
+                layer: li,
+                lo: 0,
+                hi: layer.shard_pages.len(),
+            })
+            .collect();
+        let mut readds: Vec<ReaddEvent> = Vec::new();
+        let mut wait: Vec<Run> = Vec::new();
+        for i in 0..input.steps.len() {
+            // Eviction: pop the minimal top batch that brings step `i` under
+            // budget (whole run when net-zero at `i` or insufficient).
+            loop {
+                let current = timeline.step_total(i);
+                if current <= input.gpu_budget {
+                    break;
+                }
+                let Some(&top) = moves.last() else {
+                    break;
+                };
+                let l = top.layer;
+                let p = &page_prefix[l];
+                let len = top.hi - top.lo;
+                let net_zero = i > timeline.last_use(l) || timeline.is_own_step(l, i);
+                let need = current - input.gpu_budget;
+                let total = p[top.hi] - p[top.lo];
+                let k = if net_zero || total < need {
+                    len
+                } else {
+                    // Minimal k with suffix-sum(k) >= need (monotone).
+                    let (mut lo_k, mut hi_k) = (1usize, len);
+                    while lo_k < hi_k {
+                        let mid = lo_k + (hi_k - lo_k) / 2;
+                        if p[top.hi] - p[top.hi - mid] >= need {
+                            hi_k = mid;
+                        } else {
+                            lo_k = mid + 1;
+                        }
+                    }
+                    lo_k
+                };
+                let cut = top.hi - k;
+                let batch = p[top.hi] - p[cut];
+                timeline.evict(l, batch);
+                if k == len {
+                    moves.pop();
+                } else if let Some(tr) = moves.last_mut() {
+                    tr.hi = cut;
+                }
+                // Evicted pages [cut, top.hi) reach the wait stack with the
+                // lowest index on top; merge when adjacent to the previous
+                // eviction of the same layer (no re-add in between).
+                match wait.last_mut() {
+                    Some(w) if w.layer == l && w.lo == top.hi => w.lo = cut,
+                    _ => wait.push(Run {
+                        layer: l,
+                        lo: cut,
+                        hi: top.hi,
+                    }),
+                }
+            }
+            // Re-add backfill: drain the maximal prefix of the same-layer
+            // top group that fits the batched capacity.
+            'readd: while let Some(&top) = wait.last() {
+                let l = top.layer;
+                let t = i + 1;
+                let Some(cap) = timeline.readd_capacity(input, l, t) else {
+                    break;
+                };
+                let mut gstart = wait.len();
+                while gstart > 0 && wait[gstart - 1].layer == l {
+                    gstart -= 1;
+                }
+                let p = &page_prefix[l];
+                let mut batch = 0u64;
+                let mut drained_runs = 0usize;
+                let mut partial = 0usize;
+                let mut group_done = true;
+                for r in wait[gstart..].iter().rev() {
+                    let left = cap - batch;
+                    let rlen = r.hi - r.lo;
+                    // Maximal m with prefix-sum(m) <= left (monotone).
+                    let (mut lo_m, mut hi_m) = (0usize, rlen);
+                    while lo_m < hi_m {
+                        let mid = lo_m + (hi_m - lo_m).div_ceil(2);
+                        if p[r.lo + mid] - p[r.lo] <= left {
+                            lo_m = mid;
+                        } else {
+                            hi_m = mid - 1;
+                        }
+                    }
+                    let m = lo_m;
+                    batch += p[r.lo + m] - p[r.lo];
+                    if m > 0 {
+                        readds.push(ReaddEvent {
+                            layer: l,
+                            lo: r.lo,
+                            hi: r.lo + m,
+                            trigger: t,
+                        });
+                    }
+                    if m < rlen {
+                        partial = m;
+                        group_done = false;
+                        break;
+                    }
+                    drained_runs += 1;
+                }
+                if drained_runs == 0 && partial == 0 {
+                    break; // head of the group does not fit
+                }
+                timeline.readd(l, batch, t);
+                wait.truncate(wait.len() - drained_runs);
+                if !group_done {
+                    if partial > 0 {
+                        if let Some(w) = wait.last_mut() {
+                            w.lo += partial;
+                        }
+                    }
+                    break 'readd;
+                }
+            }
+        }
+        let mut gathers_advanced = 0;
+        if self.phase2 {
+            for i in 0..input.steps.len() {
+                if timeline.advance_gather(input, i, self.prefetch_horizon) {
+                    gathers_advanced += 1;
+                }
+            }
+        }
+        Decisions {
+            moves,
+            readds,
+            gathers_advanced,
+        }
+    }
+}
+
+/// A contiguous run of pages `[lo, hi)` of one layer — the unit the decision
+/// phases batch over (a maximal same-layer run of Algorithm 1's stacks).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    layer: usize,
+    lo: usize,
+    hi: usize,
+}
+
+/// A committed re-add: pages `[lo, hi)` of `layer` re-enter at `trigger`.
+/// Events are stored in commit order (triggers nondecreasing, pages
+/// ascending within an event).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ReaddEvent {
+    layer: usize,
+    lo: usize,
+    hi: usize,
+    trigger: usize,
+}
+
+/// Algorithm 1's decisions in run form; each step's gather trigger lives in
+/// the [`TimelineState`].
+struct Decisions {
+    /// Trigger-0 moves that survived phase 1.
+    moves: Vec<Run>,
+    readds: Vec<ReaddEvent>,
+    gathers_advanced: usize,
+}
+
+/// Per-layer page prefix sums: `prefix[i]` = bytes of the first `i` pages.
+fn prefix_of(layer: &LayerPlan) -> Vec<u64> {
+    let mut p = Vec::with_capacity(layer.shard_pages.len() + 1);
+    p.push(0);
+    let mut acc = 0u64;
+    for &b in &layer.shard_pages {
+        acc += b;
+        p.push(acc);
+    }
+    p
+}
+
+/// The input preconditions of Algorithm 1 — a non-empty model, every step on
+/// an existing layer, every layer stepped, every step feasible alone —
+/// surfaced as typed errors before any planning state is built.
+fn validate_input(input: &SchedulerInput) -> Result<()> {
+    if input.layers.is_empty() {
+        return Err(Error::BadSchedulerInput("empty model"));
+    }
+    let mut covered = vec![false; input.layers.len()];
+    for s in &input.steps {
+        if s.layer() >= input.layers.len() {
+            return Err(Error::BadSchedulerInput("step references a missing layer"));
+        }
+        covered[s.layer()] = true;
+    }
+    if covered.iter().any(|&c| !c) {
+        return Err(Error::BadSchedulerInput("a layer has no compute step"));
+    }
+    for (j, s) in input.steps.iter().enumerate() {
+        let l = &input.layers[s.layer()];
+        let base = input.step_base_load.get(j).copied().unwrap_or(0);
+        let need = l.full_param_bytes + l.working_set + base;
+        if need > input.gpu_budget {
+            return Err(Error::WorkingSetTooLarge {
+                layer_bytes: need,
+                gpu_bytes: input.gpu_budget,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Build the trigger-sorted task list, its offset table and the stats
+/// from the decisions.
+fn emit(
+    input: &SchedulerInput,
+    page_prefix: &[Vec<u64>],
+    decisions: &Decisions,
+    timeline: &TimelineState,
+) -> Schedule {
+    let Decisions {
+        moves,
+        readds,
+        gathers_advanced,
+    } = decisions;
+    let gather = timeline.gather_triggers();
+    let n_steps = input.steps.len();
+    // Counting sort of steps by gather trigger (ascending step within
+    // each trigger — the emission interleave needs it).
+    let mut trig_off = vec![0usize; n_steps + 1];
+    for &g in gather {
+        trig_off[g + 1] += 1;
+    }
+    for i in 1..=n_steps {
+        trig_off[i] += trig_off[i - 1];
+    }
+    let mut trig_steps = vec![0usize; n_steps];
+    let mut trig_cur = trig_off.clone();
+    for (i, &g) in gather.iter().enumerate() {
+        trig_steps[trig_cur[g]] = i;
+        trig_cur[g] += 1;
+    }
+    // Offsets + byte/page stats in one O(runs + events + steps) pass.
+    let mut offsets = vec![0usize; n_steps + 1];
+    let mut resident_pages = 0usize;
+    let mut resident_bytes = 0u64;
+    for r in moves {
+        offsets[1] += r.hi - r.lo;
+        resident_pages += r.hi - r.lo;
+        resident_bytes += page_prefix[r.layer][r.hi] - page_prefix[r.layer][r.lo];
+    }
+    for e in readds {
+        offsets[e.trigger + 1] += e.hi - e.lo;
+        resident_pages += e.hi - e.lo;
+        resident_bytes += page_prefix[e.layer][e.hi] - page_prefix[e.layer][e.lo];
+    }
+    for (i, step) in input.steps.iter().enumerate() {
+        offsets[gather[i] + 1] += input.layers[step.layer()].shard_pages.len();
+        offsets[i + 1] += 1;
+    }
+    for i in 1..=n_steps {
+        offsets[i] += offsets[i - 1];
+    }
+    let total_pages: usize = page_prefix.iter().map(|p| p.len() - 1).sum();
+    let shard_bytes: u64 = page_prefix
+        .iter()
+        .map(|p| p.last().copied().unwrap_or(0))
+        .sum();
+
+    let mut tasks = Vec::with_capacity(offsets[n_steps]);
+    for t in 0..n_steps {
+        emit_trigger(input, moves, readds, &trig_off, &trig_steps, t, &mut tasks);
+    }
+    Schedule {
+        tasks,
+        stats: ScheduleStats {
+            pages_resident: resident_pages,
+            pages_cpu_bound: total_pages - resident_pages,
+            peak_gpu_bytes: timeline.peak(),
+            resident_fraction: if shard_bytes == 0 {
+                0.0
+            } else {
+                resident_bytes as f64 / shard_bytes as f64
+            },
+            gathers_advanced: *gathers_advanced,
+        },
+        num_steps: n_steps,
+        trigger_offsets: offsets,
+    }
+}
+
+/// Emit one trigger slot in Algorithm 1's within-trigger order:
+/// trigger-0 moves, re-add movements, then — walking the per-step loop order
+/// — step `t`'s own gather bundle (if not advanced away), step `t`'s
+/// compute, and the advanced gather bundles of later steps.
+fn emit_trigger(
+    input: &SchedulerInput,
+    moves: &[Run],
+    readds: &[ReaddEvent],
+    trig_off: &[usize],
+    trig_steps: &[usize],
+    t: usize,
+    out: &mut Vec<ScheduleTask>,
+) {
+    if t == 0 {
+        for r in moves {
+            let pages = &input.layers[r.layer].shard_pages;
+            for (off, &bytes) in pages[r.lo..r.hi].iter().enumerate() {
+                out.push(ScheduleTask {
+                    op: TaskOp::MoveToGpu(PlannedPage {
+                        layer: r.layer,
+                        index: r.lo + off,
+                        bytes,
+                    }),
+                    trigger_id: 0,
+                });
+            }
+        }
+    }
+    let lo = readds.partition_point(|e| e.trigger < t);
+    let hi = readds.partition_point(|e| e.trigger <= t);
+    for e in &readds[lo..hi] {
+        let pages = &input.layers[e.layer].shard_pages;
+        for (off, &bytes) in pages[e.lo..e.hi].iter().enumerate() {
+            out.push(ScheduleTask {
+                op: TaskOp::MoveToGpu(PlannedPage {
+                    layer: e.layer,
+                    index: e.lo + off,
+                    bytes,
+                }),
+                trigger_id: t,
+            });
+        }
+    }
+    let slot = &trig_steps[trig_off[t]..trig_off[t + 1]];
+    let mut rest = slot;
+    if let Some((&first, tail)) = slot.split_first() {
+        if first == t {
+            gather_bundle(input, first, t, out);
+            rest = tail;
+        }
+    }
+    out.push(ScheduleTask {
+        op: TaskOp::Compute(input.steps[t]),
+        trigger_id: t,
+    });
+    for &i in rest {
+        gather_bundle(input, i, t, out);
+    }
+}
+
+fn gather_bundle(input: &SchedulerInput, step: usize, t: usize, out: &mut Vec<ScheduleTask>) {
+    let l = input.steps[step].layer();
+    for (pi, &bytes) in input.layers[l].shard_pages.iter().enumerate() {
+        out.push(ScheduleTask {
+            op: TaskOp::AllGather {
+                page: PlannedPage {
+                    layer: l,
+                    index: pi,
+                    bytes,
+                },
+                step,
+            },
+            trigger_id: t,
+        });
     }
 }
 
 /// The pre-optimization Algorithm 1 planner, retained verbatim as the
 /// independent correctness oracle: per-page O(steps) timeline updates,
 /// linear `resident()` scans, `contains`-based fit checks and a comparison
-/// sort. It shares no decision code with [`crate::replan::Planner`]; the
-/// scheduler and replan proptests prove every from-scratch and replanned
-/// plan byte-identical to it, and the `planning_cost` binary records the
-/// speedup in `BENCH_plan.json`. Compiled only for tests and under the
-/// `verify-extras` feature (the bench crate enables it), so it cannot land
-/// in a production path.
+/// sort. It shares no decision code with [`UnifiedScheduler::schedule`];
+/// the scheduler proptest proves every plan byte-identical to it, and the
+/// `planning_cost` binary records the speedup in `BENCH_plan.json`.
+/// Compiled only for tests and under the `verify-extras` feature (the bench
+/// crate enables it), so it cannot land in a production path.
 #[cfg(any(test, feature = "verify-extras"))]
 pub mod oracle {
     use super::*;
@@ -938,16 +1258,20 @@ mod tests {
         let mut empty = toy(1, 1, 10, 0, 100);
         empty.layers.clear();
         empty.steps.clear();
-        assert!(matches!(
+        assert_eq!(
             UnifiedScheduler::default().schedule(&empty),
-            Err(Error::BadReplanDelta(_))
-        ));
+            Err(Error::BadSchedulerInput("empty model"))
+        );
         let mut dangling = toy(2, 1, 10, 0, 100);
         dangling.steps.push(StepKind::Backward(2));
-        assert!(matches!(
+        assert_eq!(
             UnifiedScheduler::default().schedule(&dangling),
-            Err(Error::BadReplanDelta(_))
-        ));
+            Err(Error::BadSchedulerInput("step references a missing layer"))
+        );
+        assert_eq!(
+            Error::BadSchedulerInput("empty model").to_string(),
+            "bad scheduler input: empty model"
+        );
     }
 
     #[test]
@@ -1079,6 +1403,29 @@ mod tests {
 
     // ---- Oracle equivalence ---------------------------------------------
 
+    /// A jagged toy model: per-layer page lists of different shapes, so the
+    /// run-form decisions see non-uniform runs.
+    fn jagged(budget: u64) -> SchedulerInput {
+        let shapes: &[&[u64]] = &[&[10, 10, 10], &[25], &[5, 5, 5, 5], &[0, 12, 8]];
+        let layers = shapes
+            .iter()
+            .enumerate()
+            .map(|(l, pages)| LayerPlan {
+                layer: l,
+                shard_pages: pages.to_vec(),
+                full_param_bytes: pages.iter().sum::<u64>() * 2,
+                working_set: 7,
+            })
+            .collect();
+        SchedulerInput {
+            layers,
+            steps: SchedulerInput::default_steps(shapes.len()),
+            gpu_budget: budget,
+            page_size: 16,
+            step_base_load: Vec::new(),
+        }
+    }
+
     fn assert_identical(input: &SchedulerInput, sched: &UnifiedScheduler) {
         let fast = sched.schedule(input);
         let slow = oracle::schedule(sched, input);
@@ -1089,7 +1436,7 @@ mod tests {
                 assert_eq!(f.trigger_offsets, s.trigger_offsets, "indexes diverge");
                 assert_eq!(f.num_steps, s.num_steps);
             }
-            (Err(_), Err(_)) => {}
+            (Err(f), Err(s)) => assert_eq!(f, s, "rejections diverge"),
             (f, s) => panic!(
                 "feasibility diverges: fast {:?} vs oracle {:?}",
                 f.map(|x| x.stats),
@@ -1122,6 +1469,38 @@ mod tests {
         input.layers[0].full_param_bytes = 40;
         input.step_base_load = vec![3; 8];
         assert_identical(&input, &UnifiedScheduler::default());
+        // A jagged model (pages of different sizes, a zero-byte page) across
+        // budgets from tight to ample, then variants of it: one layer
+        // reshaped, every shard halved, one layer dropped, and an
+        // infeasible budget.
+        for budget in [10, 90, 95, 120, 150, 200, 400, 1000] {
+            assert_identical(&jagged(budget), &sched);
+        }
+        let mut input = jagged(120);
+        input.layers[2].working_set = 40;
+        input.layers[2].shard_pages = vec![9, 9, 9, 9, 9];
+        input.layers[2].full_param_bytes = 45;
+        assert_identical(&input, &sched);
+        let mut input = jagged(150);
+        for l in &mut input.layers {
+            l.shard_pages.iter_mut().for_each(|b| *b /= 2);
+        }
+        assert_identical(&input, &sched);
+        let mut input = jagged(150);
+        input.layers.truncate(3);
+        input.steps = SchedulerInput::default_steps(3);
+        assert_identical(&input, &sched);
+        let mut input = jagged(95);
+        input.layers[0].shard_pages = vec![4; 7];
+        input.layers[3].working_set = 11;
+        input.step_base_load = (0..input.steps.len() as u64).map(|j| j % 5).collect();
+        assert_identical(&input, &sched);
+        // A degraded iteration: layer 1 recomputed twice in the backward,
+        // so it owns four steps and its re-adds span own-step gaps.
+        let mut input = jagged(150);
+        input.steps.push(StepKind::Backward(1));
+        input.steps.insert(2, StepKind::Forward(1));
+        assert_identical(&input, &sched);
         // Phase 2 off, and unbounded horizon.
         assert_identical(
             &toy(4, 3, 10, 15, 90),
@@ -1232,24 +1611,30 @@ mod proptests {
 
     /// Random scheduler inputs: 1–7 layers with jagged page lists (0–6
     /// pages of 0–40 bytes), independent full/working-set bytes, a budget
-    /// spanning infeasible-to-ample, optional per-step base load, and a
-    /// random prefetch horizon. Feasibility divergence is also checked.
+    /// spanning infeasible-to-ample, the default step list with 0–3 extra
+    /// recompute steps inserted at random positions, an optional per-step
+    /// base load in one of two patterns, and a random prefetch horizon.
+    /// Feasibility divergence is also checked.
     fn input_strategy() -> impl Strategy<Value = (SchedulerInput, UnifiedScheduler)> {
         (
-            proptest::collection::vec(
-                (
-                    proptest::collection::vec(0u64..40, 0..6),
-                    0u64..120,
-                    0u64..60,
+            (
+                proptest::collection::vec(
+                    (
+                        proptest::collection::vec(0u64..40, 0..6),
+                        0u64..120,
+                        0u64..60,
+                    ),
+                    1..7,
                 ),
-                1..7,
+                1u64..400,
             ),
-            1u64..400,
-            any::<bool>(),
+            proptest::collection::vec((any::<usize>(), any::<usize>(), any::<bool>()), 0..4),
+            // Base-load pattern (none, `7j % 23`, `kj % 31`) and its `k`.
+            (0u8..3, 1u64..20),
             0usize..8,
             any::<bool>(),
         )
-            .prop_map(|(layers, budget, with_base, horizon, phase2)| {
+            .prop_map(|((layers, budget), extra, base, horizon, phase2)| {
                 let n = layers.len();
                 let layers: Vec<LayerPlan> = layers
                     .into_iter()
@@ -1261,11 +1646,19 @@ mod proptests {
                         working_set: ws,
                     })
                     .collect();
-                let steps = SchedulerInput::default_steps(n);
-                let step_base_load = if with_base {
-                    (0..steps.len()).map(|j| (j as u64 * 7) % 23).collect()
-                } else {
-                    Vec::new()
+                let mut steps = SchedulerInput::default_steps(n);
+                for (pos, l, fwd) in extra {
+                    let s = if fwd {
+                        StepKind::Forward(l % n)
+                    } else {
+                        StepKind::Backward(l % n)
+                    };
+                    steps.insert(pos % (steps.len() + 1), s);
+                }
+                let step_base_load = match base {
+                    (0, _) => Vec::new(),
+                    (1, _) => (0..steps.len()).map(|j| (j as u64 * 7) % 23).collect(),
+                    (_, k) => (0..steps.len() as u64).map(|j| (j * k) % 31).collect(),
                 };
                 (
                     SchedulerInput {
@@ -1288,7 +1681,7 @@ mod proptests {
 
         /// The optimized planner is byte-identical to the retained naive
         /// oracle: same task list, same `ScheduleStats` (including peak),
-        /// same trigger index — or the same infeasibility verdict.
+        /// same trigger index — or the same rejection.
         #[test]
         fn optimized_schedule_matches_oracle(
             (input, sched) in input_strategy()
@@ -1302,7 +1695,7 @@ mod proptests {
                     prop_assert_eq!(f.trigger_offsets, s.trigger_offsets);
                     prop_assert_eq!(f.num_steps, s.num_steps);
                 }
-                (Err(_), Err(_)) => {}
+                (Err(f), Err(s)) => prop_assert_eq!(f, s),
                 (f, s) => prop_assert!(
                     false,
                     "feasibility diverges: fast {:?} vs oracle {:?}",

@@ -46,23 +46,6 @@ impl RangeAddMax {
         tree
     }
 
-    /// Rebuild from new totals, reusing the existing node arrays — a
-    /// replanning session re-arms one persistent tree per delta instead of
-    /// allocating a fresh one (`from_values`) per plan. Byte-identical to
-    /// `*self = Self::from_values(values)` without the allocation.
-    pub fn reset_from_values(&mut self, values: &[u64]) {
-        let n = values.len();
-        let want = 4 * n.max(1);
-        self.max.clear();
-        self.max.resize(want, 0);
-        self.lazy.clear();
-        self.lazy.resize(want, 0);
-        self.n = n;
-        if n > 0 {
-            self.build(1, 0, n - 1, values);
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.n
     }
@@ -253,31 +236,6 @@ mod tests {
         assert_eq!(t.to_vec(), vec![1, 2, 3]);
         assert_eq!(t.max_in(2, 1), None);
         assert_eq!(t.last_above(2, 1, 0), None);
-    }
-
-    #[test]
-    fn reset_matches_fresh_build() {
-        let mut t = RangeAddMax::from_values(&[5, 1, 9, 4]);
-        t.add(1, 3, 7);
-        // Re-arm over a *different length* and verify byte-identity with a
-        // fresh tree under follow-up operations.
-        let vals: Vec<u64> = (0..193).map(|i| (i as u64 * 37) % 211 + 3).collect();
-        t.reset_from_values(&vals);
-        let fresh = RangeAddMax::from_values(&vals);
-        assert_eq!(t.to_vec(), fresh.to_vec());
-        assert_eq!(t.max_all(), fresh.max_all());
-        let mut t2 = t.clone();
-        let mut f2 = fresh.clone();
-        t2.add(10, 180, -3);
-        f2.add(10, 180, -3);
-        assert_eq!(t2.to_vec(), f2.to_vec());
-        assert_eq!(t2.last_above(0, 192, 100), f2.last_above(0, 192, 100));
-        // Shrink back down, including to empty.
-        t.reset_from_values(&[2, 2]);
-        assert_eq!(t.to_vec(), vec![2, 2]);
-        t.reset_from_values(&[]);
-        assert!(t.is_empty());
-        assert_eq!(t.max_all(), 0);
     }
 
     #[test]

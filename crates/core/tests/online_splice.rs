@@ -5,11 +5,12 @@
 //! in at an iteration boundary, every iteration after the boundary is
 //! **byte-identical** to what a fresh engine initialized at the new
 //! configuration would run — no task from the abandoned tail of the old
-//! plan executes, no stale trigger slot survives. Because the incremental
-//! planner is proven byte-identical to a from-scratch schedule of the
-//! mutated input (see `replan::proptests`), this reduces splice soundness
-//! to plan equality, which these tests check on the schedules and the
-//! deterministic per-iteration statistics.
+//! plan executes, no stale trigger slot survives. A splice is a fresh plan
+//! of the new input, and `UnifiedScheduler::schedule` is proven
+//! byte-identical to the per-page oracle (see the scheduler's
+//! `optimized_schedule_matches_oracle` proptest), so splice soundness
+//! reduces to plan equality, which these tests check on the schedules and
+//! the deterministic per-iteration statistics.
 
 use angel_core::{ClusterEvent, Engine, EngineConfig, FaultTarget, IterStats};
 use angel_model::TransformerConfig;
