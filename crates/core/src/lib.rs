@@ -80,6 +80,9 @@ pub mod obs;
 pub mod page;
 pub mod plan;
 pub mod recovery;
+#[cfg(test)]
+#[path = "replan_tests.rs"]
+mod replan;
 pub mod scheduler;
 pub mod seqtree;
 pub mod sync;
